@@ -33,10 +33,8 @@ from .liecore import (
     DERIVED,
     LOWER_CENTRAL,
     LieAlgebra,
-    QuotientAlgebra,
     SeriesReport,
     SubalgebraView,
-    validate_structure,
 )
 from .ideals import (
     CIdealCertificate,
@@ -59,7 +57,6 @@ from .ideals import (
     verify_weak_c,
 )
 from .structure import (
-    LatticeCache,
     OneDimClassification,
     StructureFlags,
     TriState,
@@ -70,7 +67,6 @@ from .structure import (
     is_almost_abelian,
     is_simple,
     is_supersolvable,
-    lattice,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     minimal_ideals,

@@ -542,7 +542,6 @@ def _build_parser():
     s.set_defaults(fn=cmd_series)
 
     v = sub.add_parser("verify", help="run the suite of recorded checks")
-    v.add_argument("--preset-set", default="default", choices=["default"])
     v.add_argument("--json", action="store_true")
     v.set_defaults(fn=cmd_verify)
     return p

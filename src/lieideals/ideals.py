@@ -36,7 +36,7 @@ def subalgebras(L, budget=DEFAULT_BUDGET):
             if L.is_subalgebra(S)
         ]
 
-    return L._cached("subalgebras", build)
+    return L.memo("subalgebras", build, budget)
 
 
 def ideals_of(L, budget=DEFAULT_BUDGET):
@@ -44,7 +44,7 @@ def ideals_of(L, budget=DEFAULT_BUDGET):
     def build():
         return [S for S in subalgebras(L, budget) if L.is_ideal(S)]
 
-    return L._cached("ideals", build)
+    return L.memo("ideals", build, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -57,31 +57,30 @@ def core(L, B):
     Descending fixed point: repeatedly shrink B to the set of its vectors x
     with [L, x] still inside the current stage.
     """
-    key = ("core", B.rows)
-    if key in L._cache:
-        return L._cache[key]
-    if not L.is_subalgebra(B):
-        raise NotASubalgebraError("core is defined for subalgebras only")
-    f = L.field
-    units = [unit_vector(f, L.dim, i) for i in range(L.dim)]
-    cur = B
-    while True:
-        if cur.is_zero():
-            break
-        qmap = QuotientMap(cur)
-        if qmap.dim == 0:
-            break  # cur is all of L, hence an ideal
-        rows = []
-        for u in units:
-            cols = [qmap.project(L.bracket(u, b)) for b in cur.rows]
-            rows.extend(transpose(cols, qmap.dim))
-        coeffs = right_kernel(f, rows, cur.dim)
-        nxt = span(f, L.dim, [lin_comb(f, c, cur.rows, L.dim) for c in coeffs])
-        if nxt == cur:
-            break
-        cur = nxt
-    L._cache[key] = cur
-    return cur
+    def build():
+        if not L.is_subalgebra(B):
+            raise NotASubalgebraError("core is defined for subalgebras only")
+        f = L.field
+        units = [unit_vector(f, L.dim, i) for i in range(L.dim)]
+        cur = B
+        while True:
+            if cur.is_zero():
+                break
+            qmap = QuotientMap(cur)
+            if qmap.dim == 0:
+                break  # cur is all of L, hence an ideal
+            rows = []
+            for u in units:
+                cols = [qmap.project(L.bracket(u, b)) for b in cur.rows]
+                rows.extend(transpose(cols, qmap.dim))
+            coeffs = right_kernel(f, rows, cur.dim)
+            nxt = span(f, L.dim, [lin_comb(f, c, cur.rows, L.dim) for c in coeffs])
+            if nxt == cur:
+                break
+            cur = nxt
+        return cur
+
+    return L.memo(("core", B.rows), build)
 
 
 def ideal_closure(L, B, K):
@@ -143,38 +142,32 @@ class SubidealChain:
         )
 
 
-def subideal_chain(L, B, max_steps=None):
+def subideal_chain(L, B):
     """Witness chain proving B is a subideal of L, or None.
 
     Runs the descending standard series K_0 = L, K_{i+1} = closure of B as an
     ideal of K_i.  If it stabilizes at B the reversed series is the chain;
     the returned chain is re-validated term by term before being handed out.
     """
-    key = ("chain", B.rows)
-    if max_steps is None and key in L._cache:
-        return L._cache[key]
-    if not L.is_subalgebra(B):
-        raise NotASubalgebraError("subideal test is defined for subalgebras only")
-    K = L.full_space()
-    descending = [K]
-    while True:
-        nxt = ideal_closure(L, B, K)
-        if nxt == K:
-            break
-        descending.append(nxt)
-        K = nxt
-        if max_steps is not None and len(descending) > max_steps:
-            break
-    result = None
-    if K == B:
+    def build():
+        if not L.is_subalgebra(B):
+            raise NotASubalgebraError("subideal test is defined for subalgebras only")
+        K = L.full_space()
+        descending = [K]
+        while True:
+            nxt = ideal_closure(L, B, K)
+            if nxt == K:
+                break
+            descending.append(nxt)
+            K = nxt
+        if K != B:
+            return None
         chain = SubidealChain(tuple(reversed(descending)))
         bad = chain.problems(L)
         assert not bad, f"standard series produced an invalid chain: {bad}"
-        result = chain
-    if max_steps is None:
-        # a truncated run can report None spuriously; never cache it
-        L._cache[key] = result
-    return result
+        return chain
+
+    return L.memo(("chain", B.rows), build)
 
 
 def is_subideal(L, B):
@@ -202,7 +195,7 @@ class WeakCIdealCertificate:
         if not L.is_subalgebra(self.C):
             out.append("C is not a subalgebra")
         out.extend(f"chain: {p}" for p in self.chain.problems(L))
-        if self.chain.bottom != self.C:
+        if self.chain.terms and self.chain.bottom != self.C:
             out.append("chain does not start at C")
         if self.B + self.C != L.full_space():
             out.append("B + C is not the whole algebra")
@@ -333,51 +326,45 @@ def verify_c(L, B, C):
 def find_weak_c_witness(L, B, budget=DEFAULT_BUDGET):
     """First valid weak c-ideal witness for B in canonical lattice order,
     or None when no subalgebra works (exhaustive)."""
-    key = ("weakc", B.rows)
-    if key in L._cache:
-        return L._cache[key]
-    if not L.is_subalgebra(B):
-        raise NotASubalgebraError("weak c-ideal search needs a subalgebra")
-    full = L.full_space()
-    core_B = core(L, B)
-    result = None
-    for C in subalgebras(L, budget):
-        if B.dim + C.dim < L.dim:
-            continue
-        if B + C != full:
-            continue
-        if not (B & C) <= core_B:
-            continue
-        chain = subideal_chain(L, C)
-        if chain is None:
-            continue
-        result = WeakCIdealCertificate(B, C, chain, core_B)
-        break
-    L._cache[key] = result
-    return result
+    def build():
+        if not L.is_subalgebra(B):
+            raise NotASubalgebraError("weak c-ideal search needs a subalgebra")
+        full = L.full_space()
+        core_B = core(L, B)
+        for C in subalgebras(L, budget):
+            if B.dim + C.dim < L.dim:
+                continue
+            if B + C != full:
+                continue
+            if not (B & C) <= core_B:
+                continue
+            chain = subideal_chain(L, C)
+            if chain is None:
+                continue
+            return WeakCIdealCertificate(B, C, chain, core_B)
+        return None
+
+    return L.memo(("weakc", B.rows), build, budget)
 
 
 def find_c_witness(L, B, budget=DEFAULT_BUDGET):
     """First valid c-ideal witness for B in canonical lattice order."""
-    key = ("cideal", B.rows)
-    if key in L._cache:
-        return L._cache[key]
-    if not L.is_subalgebra(B):
-        raise NotASubalgebraError("c-ideal search needs a subalgebra")
-    full = L.full_space()
-    core_B = core(L, B)
-    result = None
-    for C in ideals_of(L, budget):
-        if B.dim + C.dim < L.dim:
-            continue
-        if B + C != full:
-            continue
-        if not (B & C) <= core_B:
-            continue
-        result = CIdealCertificate(B, C, core_B)
-        break
-    L._cache[key] = result
-    return result
+    def build():
+        if not L.is_subalgebra(B):
+            raise NotASubalgebraError("c-ideal search needs a subalgebra")
+        full = L.full_space()
+        core_B = core(L, B)
+        for C in ideals_of(L, budget):
+            if B.dim + C.dim < L.dim:
+                continue
+            if B + C != full:
+                continue
+            if not (B & C) <= core_B:
+                continue
+            return CIdealCertificate(B, C, core_B)
+        return None
+
+    return L.memo(("cideal", B.rows), build, budget)
 
 
 def is_weak_c_ideal(L, B, budget=DEFAULT_BUDGET):
@@ -394,9 +381,8 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
     if not L.is_subalgebra(B):
         raise NotASubalgebraError("complement search needs a subalgebra")
     core_B = core(L, B)
-    quot = L.quotient(core_B)
-    Lq = quot.algebra
-    Bq = quot.project_subspace(B)
+    Lq, qmap = L.quotient(core_B)
+    Bq = qmap.project_subspace(B)
     full_q = Lq.full_space()
     zero_q = Lq.zero_space()
     for Kq in subalgebras(Lq, budget):
@@ -408,7 +394,7 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
             continue
         if subideal_chain(Lq, Kq) is None:
             continue
-        return quot.preimage_subspace(Kq)
+        return qmap.preimage_subspace(Kq)
     return None
 
 

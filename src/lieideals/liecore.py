@@ -17,6 +17,7 @@ from .errors import (
 from .exactfield import field_from_name
 from .linspace import (
     Subspace,
+    check_enumeration,
     full_subspace,
     lin_comb,
     mat_vec,
@@ -184,12 +185,10 @@ class LieAlgebra:
         return SeriesReport(kind, terms, terms[-1].is_zero())
 
     def is_solvable(self):
-        return self._cached("solvable", lambda: self.series(DERIVED).reaches_zero)
+        return self.memo("solvable", lambda: self.series(DERIVED).reaches_zero)
 
     def is_nilpotent(self):
-        return self._cached(
-            "nilpotent", lambda: self.series(LOWER_CENTRAL).reaches_zero
-        )
+        return self.memo("nilpotent", lambda: self.series(LOWER_CENTRAL).reaches_zero)
 
     def is_abelian(self):
         return not self._table
@@ -226,8 +225,10 @@ class LieAlgebra:
     # -- quotients and restrictions -----------------------------------------
 
     def quotient(self, I):
-        """Quotient algebra by an ideal, with projection and lift data."""
-        return self._cached(("quotient", I.rows), lambda: self._quotient(I))
+        """The pair ``(L/I, qmap)`` for an ideal I: the quotient algebra, in
+        the coordinates of the :class:`QuotientMap` ``qmap`` that projects
+        vectors and subspaces of L onto it and lifts them back."""
+        return self.memo(("quotient", I.rows), lambda: self._quotient(I))
 
     def _quotient(self, I):
         if not self.is_subalgebra(I):
@@ -250,7 +251,7 @@ class LieAlgebra:
                 lhs = qmap.project(self.bracket_basis(i, j))
                 rhs = quot.bracket(qmap.project(units[i]), qmap.project(units[j]))
                 assert lhs == rhs, "quotient projection is not a homomorphism"
-        return QuotientAlgebra(quot, qmap)
+        return quot, qmap
 
     def restrict(self, K):
         """View a bracket-closed subspace as a Lie algebra in its own right."""
@@ -259,14 +260,24 @@ class LieAlgebra:
                 raise NotASubalgebraError("restriction target is not bracket-closed")
             return SubalgebraView(self, K)
 
-        return self._cached(("restrict", K.rows), build)
+        return self.memo(("restrict", K.rows), build)
 
     # -- misc ---------------------------------------------------------------
 
-    def _cached(self, key, thunk):
-        if key not in self._cache:
-            self._cache[key] = thunk()
-        return self._cache[key]
+    def memo(self, key, thunk, budget=None):
+        """``thunk()``, computed once per algebra and key.
+
+        Pass ``budget`` when a fresh computation enumerates this algebra's
+        subspace lattice within that budget: a hit then re-runs the
+        enumeration gate, so a warm lookup answers, or raises, exactly as a
+        fresh call with the same budget would.
+        """
+        if key in self._cache:
+            if budget is not None:
+                check_enumeration(self.field, self.dim, budget)
+            return self._cache[key]
+        value = self._cache[key] = thunk()
+        return value
 
     def label_index(self, name):
         try:
@@ -305,11 +316,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim} over {self.field})"
 
 
-def validate_structure(field, dim, brackets, labels=None):
-    """Build a LieAlgebra, raising JacobiError on the first violated triple."""
-    return LieAlgebra(field, dim, brackets, labels=labels, check=True)
-
-
 @dataclass
 class SeriesReport:
     """Terms of a derived or lower-central series down to stabilization."""
@@ -324,32 +330,6 @@ class SeriesReport:
             if term <= K:
                 return idx
         return None
-
-
-class QuotientAlgebra:
-    """A quotient Lie algebra together with its projection and lift maps."""
-
-    def __init__(self, algebra, qmap):
-        self.algebra = algebra
-        self.map = qmap
-
-    def project(self, v):
-        return self.map.project(v)
-
-    def lift(self, coords):
-        return self.map.lift(coords)
-
-    def project_subspace(self, U):
-        return self.map.project_subspace(U)
-
-    def preimage_subspace(self, W):
-        return self.map.preimage_subspace(W)
-
-    def projection_rows(self):
-        return self.map.projection_rows()
-
-    def lift_rows(self):
-        return self.map.lift_rows()
 
 
 class SubalgebraView:

@@ -6,6 +6,7 @@ space, so subspace equality is plain tuple equality and every subspace has
 one canonical representation.
 """
 
+import functools
 import itertools
 
 from .errors import (
@@ -354,13 +355,6 @@ class QuotientMap:
             out[c] = a
         return tuple(out)
 
-    def projection_rows(self):
-        """The projection as an m x n matrix acting on column vectors."""
-        n = self.subspace.ambient
-        field = self.subspace.field
-        cols = [self.project(unit_vector(field, n, i)) for i in range(n)]
-        return transpose(cols, self.dim)
-
     def lift_rows(self):
         """Row a is the lift of the a-th quotient coordinate vector."""
         n = self.subspace.ambient
@@ -375,10 +369,6 @@ class QuotientMap:
     def preimage_subspace(self, W):
         vectors = [self.lift(w) for w in W.rows] + list(self.subspace.rows)
         return Subspace(self.subspace.field, self.subspace.ambient, vectors)
-
-
-def quotient_coordinates(U):
-    return QuotientMap(U)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +396,33 @@ def count_subspaces(field, n, dims=None):
 
 def _normalize_dims(n, dim_filter):
     if dim_filter is None:
-        return list(range(n + 1))
+        return tuple(range(n + 1))
     if isinstance(dim_filter, int):
         dims = [dim_filter]
     else:
         dims = sorted(set(dim_filter))
-    return [k for k in dims if 0 <= k <= n]
+    return tuple(k for k in dims if 0 <= k <= n)
+
+
+_subspace_total = functools.cache(count_subspaces)
+
+
+def check_enumeration(field, n, budget, dims=None):
+    """Raise unless the subspaces of GF(q)^n of the given dimensions (all of
+    them by default) can be enumerated within ``budget`` (None: no limit).
+
+    The answer depends on the arguments alone, so a memoized lattice result
+    re-runs this gate on every hit; after the first call per (field, n,
+    dims) it is a table lookup and one comparison.
+    """
+    if not isinstance(field, PrimeField):
+        raise EnumerationUnsupportedError(
+            f"subspace enumeration unsupported over infinite field {field}"
+        )
+    if budget is not None:
+        total = _subspace_total(field, n, dims)
+        if total > budget:
+            raise BudgetExceededError(total, budget)
 
 
 def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
@@ -421,14 +432,8 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
     Bases are generated directly per pivot-column pattern, so there are no
     duplicates and the cost is linear in the output.
     """
-    if not isinstance(field, PrimeField):
-        raise EnumerationUnsupportedError(
-            f"subspace enumeration unsupported over infinite field {field}"
-        )
     dims = _normalize_dims(n, dim_filter)
-    total = count_subspaces(field, n, dims)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(total, budget)
+    check_enumeration(field, n, budget, dims)
     elements = list(field.elements())
     for k in dims:
         batch = []

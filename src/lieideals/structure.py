@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import BudgetExceededError, EnumerationUnsupportedError
 from .exactfield import PrimeField, RationalField
-from .ideals import core, find_weak_c_witness, ideals_of, subalgebras
+from .ideals import core, find_weak_c_witness, subalgebras
 from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
@@ -308,7 +308,7 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
             return TriState.UNSUPPORTED
     if line is None:
         return TriState.NO
-    return is_supersolvable(L.quotient(line).algebra, budget)
+    return is_supersolvable(L.quotient(line)[0], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def maximal_subalgebras(L, budget=DEFAULT_BUDGET):
         proper = [S for S in subalgebras(L, budget) if S.dim < L.dim]
         return _maximal_members(proper)
 
-    return L._cached("maximal_subalgebras", build)
+    return L.memo("maximal_subalgebras", build, budget)
 
 
 def frattini(L, budget=DEFAULT_BUDGET):
@@ -339,25 +339,25 @@ def frattini(L, budget=DEFAULT_BUDGET):
             F = F & M
         return (F, core(L, F))
 
-    return L._cached("frattini", build)
+    return L.memo("frattini", build, budget)
 
 
 def sub_is_nilpotent(L, S):
-    return L._cached(("subnilp", S.rows), lambda: L.restrict(S).algebra.is_nilpotent())
+    return L.restrict(S).algebra.is_nilpotent()
 
 
 def nilpotent_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
         return [S for S in subalgebras(L, budget) if sub_is_nilpotent(L, S)]
 
-    return L._cached("nilpotent_subalgebras", build)
+    return L.memo("nilpotent_subalgebras", build, budget)
 
 
 def maximal_nilpotent_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
         return _maximal_members(nilpotent_subalgebras(L, budget))
 
-    return L._cached("maximal_nilpotent_subalgebras", build)
+    return L.memo("maximal_nilpotent_subalgebras", build, budget)
 
 
 def cartan_subalgebras(L, budget=DEFAULT_BUDGET):
@@ -369,47 +369,7 @@ def cartan_subalgebras(L, budget=DEFAULT_BUDGET):
             if L.normalizer(S) == S
         ]
 
-    return L._cached("cartan_subalgebras", build)
-
-
-class LatticeCache:
-    """Read-only view of the enumerated subalgebra lattice of one algebra.
-
-    Construction is lazy; every list is computed once and memoized on the
-    algebra, in canonical enumeration order.
-    """
-
-    def __init__(self, L, budget=DEFAULT_BUDGET):
-        self.algebra = L
-        self.budget = budget
-
-    @property
-    def subalgebras(self):
-        return subalgebras(self.algebra, self.budget)
-
-    @property
-    def ideals(self):
-        return ideals_of(self.algebra, self.budget)
-
-    @property
-    def maximal_subalgebras(self):
-        return maximal_subalgebras(self.algebra, self.budget)
-
-    @property
-    def nilpotent_subalgebras(self):
-        return nilpotent_subalgebras(self.algebra, self.budget)
-
-    @property
-    def maximal_nilpotent_subalgebras(self):
-        return maximal_nilpotent_subalgebras(self.algebra, self.budget)
-
-    @property
-    def cartan_subalgebras(self):
-        return cartan_subalgebras(self.algebra, self.budget)
-
-
-def lattice(L, budget=DEFAULT_BUDGET):
-    return LatticeCache(L, budget)
+    return L.memo("cartan_subalgebras", build, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +539,16 @@ def structure_report(L, budget=DEFAULT_BUDGET):
     distinguished subalgebra families."""
     doc = {"flags": flags(L, budget).to_json()}
     try:
-        cache = lattice(L, budget)
         counts = {}
-        for S in cache.subalgebras:
+        for S in subalgebras(L, budget):
             counts[str(S.dim)] = counts.get(str(S.dim), 0) + 1
         doc["lattice"] = {
             "subalgebras_by_dim": dict(sorted(counts.items(), key=lambda kv: int(kv[0]))),
-            "maximal": [S.basis_strings() for S in cache.maximal_subalgebras],
+            "maximal": [S.basis_strings() for S in maximal_subalgebras(L, budget)],
             "maximal_nilpotent": [
-                S.basis_strings() for S in cache.maximal_nilpotent_subalgebras
+                S.basis_strings() for S in maximal_nilpotent_subalgebras(L, budget)
             ],
-            "cartan": [S.basis_strings() for S in cache.cartan_subalgebras],
+            "cartan": [S.basis_strings() for S in cartan_subalgebras(L, budget)],
         }
     except (BudgetExceededError, EnumerationUnsupportedError) as e:
         doc["lattice"] = {"unsupported": str(e)}

@@ -113,7 +113,7 @@ def try_member(member_id, builder):
 # ---------------------------------------------------------------------------
 
 def _sub_is_solvable(L, S):
-    return L._cached(("subsolv", S.rows), lambda: L.restrict(S).algebra.is_solvable())
+    return L.restrict(S).algebra.is_solvable()
 
 def _is_weak_c(L, B):
     return find_weak_c_witness(L, B) is not None
@@ -233,14 +233,14 @@ def check_lemma_2_4_4(m):
     L = m.algebra
     hyp = 0
     for I in ideals_of(L):
-        quot = L.quotient(I)
+        Lq, qmap = L.quotient(I)
         for B in subalgebras(L):
             if not I <= B:
                 continue
             hyp += 1
             below = _is_weak_c(L, B)
-            Bq = quot.project_subspace(B)
-            above = find_weak_c_witness(quot.algebra, Bq) is not None
+            Bq = qmap.project_subspace(B)
+            above = find_weak_c_witness(Lq, Bq) is not None
             if below != above:
                 return FAIL, hyp, {
                     "I": _rows(I),
@@ -365,10 +365,10 @@ def check_lemma_4_1(m):
     maxnilp = maximal_nilpotent_subalgebras(L)
     hyp = 0
     for A in ideals_of(L):
-        quot = L.quotient(A)
-        for Ubar in maximal_nilpotent_subalgebras(quot.algebra):
+        Lq, qmap = L.quotient(A)
+        for Ubar in maximal_nilpotent_subalgebras(Lq):
             hyp += 1
-            U = quot.preimage_subspace(Ubar)
+            U = qmap.preimage_subspace(Ubar)
             if not any(C + A == U for C in maxnilp):
                 return FAIL, hyp, {"A": _rows(A), "U": _rows(U)}
     return PASS, hyp, {}
@@ -420,8 +420,7 @@ def check_lemma_4_3(m):
         return PASS, 0, {"note": "hypothesis fails, statement vacuous"}
     hyp = 0
     for A in _minimal_abelian_ideals(L):
-        quot = L.quotient(A)
-        ok, pairs, violation = _premise_max_nilp_max_weak_c(quot.algebra)
+        ok, pairs, violation = _premise_max_nilp_max_weak_c(L.quotient(A)[0])
         hyp += pairs
         if not ok:
             C, M = violation

@@ -9,6 +9,7 @@ Criteria with a stated runtime budget assert it; every test prints a
 one-line summary for the log.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -35,6 +36,10 @@ DATA = Path(__file__).parent / "data"
 # the one corpus member whose subspace lattice exceeds the enumeration
 # budget on purpose; checks that need the lattice report unsupported there
 OVER_BUDGET = "example34-3"
+
+# SHA-256 of the `verify --json` bytes: the behaviour contract that a
+# refactor must keep unless it says why the report changed
+VERIFY_JSON_SHA256 = "8b07bcb64e0495870c1ce57b6add1db04a9531e99e53ecc62ad7468beb4b1282"
 
 
 def _stamp(label, t0, bound=None):
@@ -285,6 +290,7 @@ def test_criterion_8_verify_json_is_byte_deterministic(capsys):
     assert code1 == 0 and code2 == 0
     assert first
     assert first.encode("utf-8") == second.encode("utf-8")
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
     _stamp("8 verify --json byte determinism", t0)
 
 

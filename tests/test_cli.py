@@ -288,6 +288,27 @@ def test_check_unsupported_exits_three(capsys):
     assert doc["verdict"] == "unsupported" and "budget" in doc["reason"]
 
 
+def test_check_searches_over_q_reject_non_subalgebras_before_giving_up(
+    tmp_path, capsys
+):
+    alg = tmp_path / "heisq.alg"
+    alg.write_text(
+        "field Q\ndim 3\n[e1,e2] = e3\n"
+        "subspace P = span(e1, e2)\nsubspace Z = span(e3)\n"
+    )
+    for predicate in ("weak-c-ideal", "c-ideal"):
+        code, out, err = run(
+            capsys, "check", str(alg), "--predicate", predicate,
+            "--subspace", "P",
+        )
+        assert code == 2 and out == "" and "needs a subalgebra" in err
+        code, out, _ = run(
+            capsys, "check", str(alg), "--predicate", predicate,
+            "--subspace", "Z",
+        )
+        assert code == 3 and json.loads(out)["verdict"] == "unsupported"
+
+
 def test_check_usage_errors(capsys):
     code, _, err = run(
         capsys, "check", heis_path(), "--predicate", "c-ideal"
@@ -346,6 +367,16 @@ def test_witness_round_trip_and_tamper(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "no"
     assert any("core" in p for p in doc["problems"])
+
+    wfile.write_text(json.dumps(dict(cert, chain=[])))
+    code, out, err = run(
+        capsys, "check", heis_path(), "--predicate", "weak-c-ideal",
+        "--subspace", "Z", "--witness", str(wfile),
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["verdict"] == "no"
+    assert "chain: chain is empty" in doc["problems"]
 
 
 def test_witness_about_the_wrong_subspace(tmp_path, capsys):

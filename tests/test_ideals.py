@@ -16,6 +16,7 @@ from lieideals.corpus import (
     two_dim_nonabelian,
 )
 from lieideals.errors import (
+    BudgetExceededError,
     EnumerationUnsupportedError,
     NotASubalgebraError,
     NotContainedError,
@@ -41,6 +42,12 @@ from lieideals.ideals import (
     verify_weak_c,
 )
 from lieideals.liecore import DERIVED, LOWER_CENTRAL
+from lieideals.structure import (
+    cartan_subalgebras,
+    frattini,
+    maximal_subalgebras,
+    nilpotent_subalgebras,
+)
 
 
 def heis(f):
@@ -178,11 +185,44 @@ def test_subideal_chain_trivial_ends():
         subideal_chain(L, L.span([(1, 0, 0), (0, 1, 0)]))
 
 
-def test_truncated_chain_search_is_not_cached():
+def _line(L):
+    return L.span([(1, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        subalgebras,
+        ideals_of,
+        maximal_subalgebras,
+        nilpotent_subalgebras,
+        cartan_subalgebras,
+        frattini,
+        lambda L, **kw: find_weak_c_witness(L, _line(L), **kw),
+        lambda L, **kw: find_c_witness(L, _line(L), **kw),
+    ],
+    ids=[
+        "subalgebras",
+        "ideals_of",
+        "maximal_subalgebras",
+        "nilpotent_subalgebras",
+        "cartan_subalgebras",
+        "frattini",
+        "find_weak_c_witness",
+        "find_c_witness",
+    ],
+)
+def test_warm_memo_still_obeys_the_budget(query):
+    # the same query with the same budget answers the same, cold or warm
     L = heis(GF(2))
-    e1 = L.span([(1, 0, 0)])
-    assert subideal_chain(L, e1, max_steps=1) is None
-    assert subideal_chain(L, e1) is not None
+    with pytest.raises(BudgetExceededError):
+        query(heis(GF(2)), budget=1)
+    first = query(L)
+    with pytest.raises(BudgetExceededError) as exc:
+        query(L, budget=1)
+    assert (exc.value.needed, exc.value.budget) == (16, 1)
+    assert query(L, budget=16) is first
+    assert query(L, budget=None) is first
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ against values computed by hand from the structure-constant tables.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lieideals
 from lieideals.corpus import (
     abelian,
     almost_abelian,
@@ -24,13 +26,10 @@ from lieideals.errors import (
     NotContainedError,
 )
 from lieideals.exactfield import GF, QQ
-from lieideals.liecore import (
-    DERIVED,
-    LOWER_CENTRAL,
-    LieAlgebra,
-    validate_structure,
-)
+from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.linspace import unit_vector
+
+PACKAGE = Path(lieideals.__file__).parent
 
 
 def heis(f):
@@ -61,8 +60,8 @@ def test_jacobi_violation_reports_first_triple_and_residual():
     assert "Jacobi identity fails at basis triple (1,2,3)" in str(exc.value)
 
 
-def test_validate_structure_accepts_a_lawful_table():
-    L = validate_structure(GF(5), 3, {(0, 1): (0, 0, 1)})
+def test_constructor_accepts_a_lawful_table():
+    L = LieAlgebra(GF(5), 3, {(0, 1): (0, 0, 1)})
     assert L.dim == 3
 
 
@@ -236,14 +235,14 @@ def test_centralizer_normalizer_center():
 
 def test_quotient_by_center_is_abelian_plane():
     L = heis(GF(5))
-    q = L.quotient(L.center())
-    assert q.algebra.dim == 2
-    assert q.algebra.is_abelian()
+    Lq, q = L.quotient(L.center())
+    assert Lq.dim == 2
+    assert Lq.is_abelian()
     v = (1, 2, 3)
     w = q.project(v)
     assert q.project(q.lift(w)) == w
     assert q.project_subspace(L.span([(1, 0, 0), (0, 0, 1)])).dim == 1
-    full_back = q.preimage_subspace(q.algebra.full_space())
+    full_back = q.preimage_subspace(Lq.full_space())
     assert full_back.is_full()
 
 
@@ -282,6 +281,16 @@ def test_restrict_is_cached_per_subspace():
     L = heis(QQ)
     sub = L.span([(1, 0, 0), (0, 0, 1)])
     assert L.restrict(sub) is L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
+
+
+def test_only_liecore_touches_the_memo_dict():
+    # every memoized result goes through LieAlgebra.memo
+    offenders = [
+        p.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "liecore.py" and "_cache" in p.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
 
 
 # -- serialization ----------------------------------------------------------

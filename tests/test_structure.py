@@ -19,7 +19,6 @@ from lieideals.exactfield import GF, QQ
 from lieideals.ideals import find_weak_c_witness, ideals_of, subalgebras
 from lieideals.liecore import LieAlgebra
 from lieideals.structure import (
-    LatticeCache,
     OneDimClassification,
     TriState,
     cartan_subalgebras,
@@ -29,7 +28,6 @@ from lieideals.structure import (
     is_almost_abelian,
     is_simple,
     is_supersolvable,
-    lattice,
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     minimal_ideals,
@@ -277,12 +275,14 @@ def test_maximal_nilpotent_subalgebras_two_dim():
 
 def test_lattice_cache_is_shared_with_the_algebra():
     L = heis(GF(2))
-    cache = lattice(L)
-    assert isinstance(cache, LatticeCache)
-    assert cache.subalgebras is subalgebras(L)
-    assert cache.ideals is ideals_of(L)
-    assert cache.maximal_subalgebras is maximal_subalgebras(L)
-    assert cache.cartan_subalgebras is cartan_subalgebras(L)
+    for family in (
+        subalgebras,
+        ideals_of,
+        maximal_subalgebras,
+        maximal_nilpotent_subalgebras,
+        cartan_subalgebras,
+    ):
+        assert family(L) is family(L)
 
 
 # -- almost abelian and the one-dimensional classifier ----------------------
