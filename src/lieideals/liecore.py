@@ -336,38 +336,36 @@ class SubalgebraView:
     """A subalgebra of an ambient algebra, in its own coordinates.
 
     Coordinates are taken against the canonical RREF basis of the carrier
-    subspace, so the view is deterministic for a given subspace.
+    subspace, so the view is deterministic for a given subspace.  The view
+    keeps no reference to the ambient algebra, whose memo holds the view:
+    that cycle would leave every restricted algebra for the cycle collector.
     """
 
     def __init__(self, parent, space):
-        self.parent = parent
         self.space = space
-        f = parent.field
         k = space.dim
         brackets = {}
         for a in range(k):
             for b in range(a + 1, k):
                 v = parent.bracket(space.rows[a], space.rows[b])
                 brackets[(a, b)] = self.to_sub(v)
-        self.algebra = LieAlgebra(f, k, brackets, check=False)
+        self.algebra = LieAlgebra(space.field, k, brackets, check=False)
 
     def to_sub(self, v):
         """Coordinates of an ambient vector lying in the subalgebra."""
         coords = tuple(v[p] for p in self.space.pivots)
-        back = lin_comb(self.parent.field, coords, self.space.rows, self.parent.dim)
-        if tuple(back) != tuple(v):
+        if self.from_sub(coords) != tuple(v):
             raise NotContainedError("vector is outside the subalgebra")
         return coords
 
     def from_sub(self, coords):
-        return lin_comb(self.parent.field, coords, self.space.rows, self.parent.dim)
+        S = self.space
+        return lin_comb(S.field, coords, S.rows, S.ambient)
 
     def restrict_subspace(self, U):
-        return Subspace(
-            self.parent.field, self.space.dim, [self.to_sub(v) for v in U.rows]
-        )
+        S = self.space
+        return Subspace(S.field, S.dim, [self.to_sub(v) for v in U.rows])
 
     def unrestrict_subspace(self, W):
-        return Subspace(
-            self.parent.field, self.parent.dim, [self.from_sub(w) for w in W.rows]
-        )
+        S = self.space
+        return Subspace(S.field, S.ambient, [self.from_sub(w) for w in W.rows])

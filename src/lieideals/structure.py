@@ -19,6 +19,7 @@ from typing import Optional
 from .errors import BudgetExceededError, EnumerationUnsupportedError
 from .exactfield import PrimeField, RationalField
 from .ideals import core, find_weak_c_witness, subalgebras
+from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
@@ -27,8 +28,10 @@ from .linspace import (
     mat_vec,
     projective_points,
     right_kernel,
+    rref,
     solve,
     span,
+    transpose,
     unit_vector,
     vec_is_zero,
     vec_scale,
@@ -71,14 +74,12 @@ class StructureFlags:
 
 
 # ---------------------------------------------------------------------------
-# spinning: smallest ideal containing a vector
+# spinning, minimal ideals and simplicity
 # ---------------------------------------------------------------------------
 
-def spin(L, v):
-    """Smallest ideal of L containing v (adjoint-invariant closure)."""
-    f = L.field
-    n = L.dim
-    ads = [L.ad_matrix(i) for i in range(n)]
+def _closure(f, n, mats, v):
+    """Smallest subspace of F^n containing v and mapped into itself by every
+    matrix in ``mats``."""
     if isinstance(f, PrimeField):
         p = f.p
         act = lambda rows, w: tuple(sum(map(operator.mul, r, w)) % p for r in rows)
@@ -92,20 +93,75 @@ def spin(L, v):
             continue
         if basis.dim == n:
             break
-        for rows in ads:
+        for rows in mats:
             work.append(act(rows, w))
     return basis.subspace()
+
+
+def spin(L, v):
+    """Smallest ideal of L containing v (adjoint-invariant closure)."""
+    return _closure(L.field, L.dim, [L.ad_matrix(i) for i in range(L.dim)], v)
 
 
 def _projective_count(q, n):
     return (q**n - 1) // (q - 1) if n > 0 else 0
 
 
-def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
-    """Minimal nonzero ideals, as the minimal elements of all vector spins.
+def _points(S):
+    """One vector of S per line of S, in ambient coordinates."""
+    f = S.field
+    for c in projective_points(f, S.dim):
+        yield lin_comb(f, c, S.rows, S.ambient)
 
-    Exhaustive over prime fields: every minimal ideal is the spin of each of
-    its nonzero vectors, and every spin contains one.
+
+def _norton(L, V):
+    """Norton's irreducibility test for a nonzero ideal V as an ad(L)-module.
+
+    True when V is a minimal ideal, False when it properly contains a
+    nonzero ideal, None when no test element qualifies.  The test element
+    is theta = R_i - lam, with R_i the action of ad(e_i) on V in its RREF
+    coordinates, of least nullity k with 0 < k < dim V (first i, then lam,
+    breaks ties).  V is irreducible exactly when every line of ker theta
+    spins to V and one vector of ker theta^T spins to V* under the R_i^T:
+    a proper ideal W meeting ker theta in 0 has theta(W) = W inside
+    im theta, so ker theta^T annihilates W and spins inside W's annihilator.
+    """
+    f = L.field
+    d = V.dim
+    R = []
+    for i in range(L.dim):
+        cols = [mat_vec(f, L.ad_matrix(i), r) for r in V.rows]
+        R.append(tuple(tuple(col[p] for col in cols) for p in V.pivots))
+    best = None
+    for Ri in R:
+        for lam in f.elements():
+            theta = tuple(
+                tuple(f.sub(a, lam) if c == r else a for c, a in enumerate(row))
+                for r, row in enumerate(Ri)
+            )
+            k = d - len(rref(f, theta)[1])
+            if 0 < k < d and (best is None or k < best[0]):
+                best = (k, theta)
+    if best is None:
+        return None
+    theta = best[1]
+    kernel = L.span([lin_comb(f, x, V.rows, L.dim) for x in right_kernel(f, theta, d)])
+    if any(spin(L, v).dim < d for v in _points(kernel)):
+        return False
+    w = right_kernel(f, transpose(theta, d), d)[0]
+    return _closure(f, d, [transpose(Ri, d) for Ri in R], w).dim == d
+
+
+def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
+    """Minimal nonzero ideals, exactly, over prime fields.
+
+    A central minimal ideal is a line of the centre, and every such line is
+    an ideal.  A non-central minimal ideal M has [L, M] = M, so it lies in
+    every lower-central term and in their limit V.  When Norton's test
+    shows V irreducible, V is the only non-central one; otherwise they are
+    the minimal spins of the vectors of V, since a minimal ideal is the
+    spin of each of its nonzero vectors.  The budget gates the projective
+    points of L, the space the answer covers, even though fewer are spun.
     """
     f = L.field
     if not isinstance(f, PrimeField):
@@ -115,15 +171,20 @@ def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
     total = _projective_count(f.p, L.dim)
     if total > point_budget:
         raise BudgetExceededError(total, point_budget)
-    spins = set()
-    for v in projective_points(f, L.dim):
-        spins.add(spin(L, v))
-    mins = [S for S in spins if not any(T < S for T in spins)]
-    return sorted(mins, key=lambda S: S.sort_key())
+    found = {L.span([z]) for z in _points(L.center())}
+    V = L.series(LOWER_CENTRAL).terms[-1]
+    if not V.is_zero():
+        if _norton(L, V):
+            found.add(V)
+        else:
+            spins = {spin(L, v) for v in _points(V)}
+            found.update(S for S in spins if not any(T < S for T in spins))
+    return sorted(found, key=lambda S: S.sort_key())
 
 
 def is_simple(L, point_budget=DEFAULT_BUDGET):
-    """Simple iff dim > 1 and every nonzero vector spins to the whole algebra."""
+    """Simple iff dim > 1, L = [L, L] and every nonzero vector spins to the
+    whole algebra, which Norton's test decides on V = L."""
     f = L.field
     if not isinstance(f, PrimeField):
         return TriState.UNSUPPORTED
@@ -132,10 +193,13 @@ def is_simple(L, point_budget=DEFAULT_BUDGET):
     if _projective_count(f.p, L.dim) > point_budget:
         return TriState.UNSUPPORTED
     full = L.full_space()
-    for v in projective_points(f, L.dim):
-        if spin(L, v) != full:
-            return TriState.NO
-    return TriState.YES
+    if L.product_space(full, full) != full:
+        return TriState.NO
+    # Norton's test always decides here: ad(e_i) kills e_i, and some ad(e_i)
+    # is nonzero because L = [L, L] is not abelian
+    irreducible = _norton(L, full)
+    assert irreducible is not None
+    return TriState.of(irreducible)
 
 
 # ---------------------------------------------------------------------------

@@ -638,7 +638,9 @@ def observe_corollary_4_7(m):
 
 def observe_example34_minimal(m):
     """Spinning oracle on the example: is A the unique minimal ideal over
-    the non-closed prime field?"""
+    the non-closed prime field?  The hypothesis count is the number of
+    projective points of L, the space the answer covers, not the number
+    of points spun."""
     if "A" not in m.built.subspaces:
         return True, 0, {"note": "not the example-3.4 construction"}
     L = m.algebra

@@ -291,7 +291,7 @@ def test_criterion_8_verify_json_is_byte_deterministic(capsys):
     assert first
     assert first.encode("utf-8") == second.encode("utf-8")
     assert hashlib.sha256(first.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
-    _stamp("8 verify --json byte determinism", t0)
+    _stamp("8 verify --json byte determinism", t0, 30.0)
 
 
 # ---------------------------------------------------------------------------

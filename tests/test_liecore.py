@@ -4,6 +4,8 @@ Series terms and centralizers for the small named algebras are checked
 against values computed by hand from the structure-constant tables.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,6 +283,20 @@ def test_restrict_is_cached_per_subspace():
     L = heis(QQ)
     sub = L.span([(1, 0, 0), (0, 0, 1)])
     assert L.restrict(sub) is L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
+
+
+def test_a_restricted_algebra_is_freed_without_the_cycle_collector():
+    # the memo keeps the view, so a view pointing back at its ambient
+    # algebra would leave every restricted algebra as cyclic garbage
+    gc.disable()
+    try:
+        L = heis(GF(3))
+        L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
+        ref = weakref.ref(L)
+        del L
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_only_liecore_touches_the_memo_dict():

@@ -6,10 +6,12 @@ never calls the greedy quotient recursion it is checking.
 
 import pytest
 
+from lieideals import structure
 from lieideals.corpus import (
     abelian,
     almost_abelian,
     direct_sum,
+    example34,
     heisenberg,
     sl2,
     two_dim_nonabelian,
@@ -18,6 +20,7 @@ from lieideals.errors import BudgetExceededError, EnumerationUnsupportedError
 from lieideals.exactfield import GF, QQ
 from lieideals.ideals import find_weak_c_witness, ideals_of, subalgebras
 from lieideals.liecore import LieAlgebra
+from lieideals.linspace import projective_points, unit_vector, vec_scale, vec_sub
 from lieideals.structure import (
     OneDimClassification,
     TriState,
@@ -35,6 +38,7 @@ from lieideals.structure import (
     structure_report,
     sub_is_nilpotent,
 )
+from lieideals.verify import default_corpus
 
 
 def heis(f):
@@ -134,6 +138,108 @@ def test_minimal_ideals_limits():
     with pytest.raises(BudgetExceededError) as exc:
         minimal_ideals(heis(GF(3)), point_budget=5)
     assert exc.value.needed == 13 and exc.value.budget == 5
+
+
+def spin_oracle(L):
+    """Minimal ideals as the minimal spins of every projective point of L."""
+    spins = {spin(L, v) for v in projective_points(L.field, L.dim)}
+    mins = [S for S in spins if not any(T < S for T in spins)]
+    return sorted(mins, key=lambda S: S.sort_key())
+
+
+def sl2_on_plane(f):
+    """sl2 acting on its natural module <p, q>, an abelian ideal.
+
+    ad(h) has least nullity, and over GF(3) its kernel <h> misses the only
+    proper ideal <p, q>: every kernel line spins to L, and only the dual
+    spin shows L reducible.
+    """
+    h, e, fe, p, q = (unit_vector(f, 5, i) for i in range(5))
+    c = f.from_int
+    brackets = {
+        (0, 1): vec_scale(f, c(2), e),
+        (0, 2): vec_scale(f, c(-2), fe),
+        (1, 2): h,
+        (0, 3): p,
+        (0, 4): vec_scale(f, c(-1), q),
+        (1, 4): p,
+        (2, 3): q,
+    }
+    return LieAlgebra(f, 5, brackets, labels=["h", "e", "f", "p", "q"])
+
+
+def sl2_on_heisenberg(f):
+    """sl2 acting on the Heisenberg algebra [p, q] = z, with the basis
+    vector y = h + z in place of z.
+
+    Over GF(3) the test element ad(h) has kernel <h, y>: its first two
+    lines spin to L and so does the dual vector h*, since h*(z) != 0.
+    Only the third kernel line, h + 2y = 2z, spins to a proper ideal.
+    """
+    h, e, fe, p, q, y = (unit_vector(f, 6, i) for i in range(6))
+    c = f.from_int
+    brackets = {
+        (0, 1): vec_scale(f, c(2), e),
+        (0, 2): vec_scale(f, c(-2), fe),
+        (1, 2): h,
+        (0, 3): p,
+        (0, 4): vec_scale(f, c(-1), q),
+        (1, 4): p,
+        (2, 3): q,
+        (3, 4): vec_sub(f, y, h),
+        # [x, y] = [x, h] since z is central
+        (1, 5): vec_scale(f, c(-2), e),
+        (2, 5): vec_scale(f, c(2), fe),
+        (3, 5): vec_scale(f, c(-1), p),
+        (4, 5): q,
+    }
+    return LieAlgebra(f, 6, brackets, labels=["h", "e", "f", "p", "q", "y"])
+
+
+ORACLE_CASES = [
+    (m.member_id, lambda m=m: m.algebra)
+    for m in default_corpus()
+    if m.algebra.dim <= 5
+] + [
+    # reducible, with isomorphic summands: Norton's test refutes, and the
+    # answer comes from spinning the points of L^omega = L
+    ("sl2+sl2-gf3", lambda: direct_sum(sl2(GF(3)).algebra, sl2(GF(3)).algebra)),
+    # refuted only by the dual spin, or only by the last kernel line
+    ("sl2-on-plane-gf3", lambda: sl2_on_plane(GF(3))),
+    ("sl2-on-heisenberg-gf3", lambda: sl2_on_heisenberg(GF(3))),
+    # central lines next to the minimal ideal in L^omega
+    (
+        "sl2+abelian1-gf3",
+        lambda: direct_sum(sl2(GF(3)).algebra, abelian(GF(3), 1).algebra),
+    ),
+    (
+        "heisenberg+abelian1-gf2",
+        lambda: direct_sum(heis(GF(2)), abelian(GF(2), 1).algebra),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make", [make for _, make in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES]
+)
+def test_minimal_ideals_and_simplicity_match_the_spin_oracle(make):
+    L = make()
+    mins = spin_oracle(L)
+    assert minimal_ideals(L) == mins
+    assert is_simple(L) is TriState.of(L.dim > 1 and mins == [L.full_space()])
+
+
+def test_example34_minimal_ideal_spins_few_points(monkeypatch):
+    built = example34(GF(3), 3)
+    calls = []
+
+    def counting_spin(L, v):
+        calls.append(v)
+        return spin(L, v)
+
+    monkeypatch.setattr(structure, "spin", counting_spin)
+    assert minimal_ideals(built.algebra) == [built.subspaces["A"]]
+    assert 0 < len(calls) < 100
 
 
 def test_is_simple_known_values():
