@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     UnknownLabelError,
 )
-from .exactfield import GF, field_from_name
+from .exactfield import GF, RationalField, field_from_name
 from .ideals import (
     CIdealCertificate,
     SubidealChain,
@@ -104,7 +104,7 @@ def _parse_combination(f, text, label_index, dim, line_no, line_text):
                 _column(line_text, label),
             )
         if sgn < 0:
-            coeff = f.neg(coeff)
+            coeff = f.norm(-coeff)
         term = [f.zero] * dim
         term[label_index[label]] = coeff
         vec = vec_add(f, vec, tuple(term))
@@ -284,7 +284,7 @@ def parse_document(text):
                     f"bracket [{a},{b}] defined twice", no, 1
                 )
             if i > j:
-                vec = vec_scale(f, f.neg(f.one), vec)
+                vec = vec_scale(f, -1, vec)
             brackets[key] = vec
         algebra = LieAlgebra(f, dim, brackets, labels=labels)
         built = BuiltAlgebra(algebra)
@@ -317,7 +317,7 @@ def render_document(built):
     f = L.field
 
     def scalar(c):
-        if f.kind == "rationals" and c.denominator == 1:
+        if isinstance(f, RationalField) and c.denominator == 1:
             return str(c.numerator)
         return f.format(c)
 

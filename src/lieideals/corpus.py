@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PresetError
 from .exactfield import PrimeField
 from .liecore import LieAlgebra
-from .linspace import unit_vector
+from .linspace import unit_vector, vec_scale
 
 
 @dataclass
@@ -108,7 +108,7 @@ def example34(f, p):
             return
         if r > c:
             r, c = c, r
-            vec = tuple(f.neg(a) for a in vec)
+            vec = vec_scale(f, -1, vec)
         if any(a != f.zero for a in vec):
             brackets[(r, c)] = vec
 
@@ -125,7 +125,7 @@ def example34(f, p):
                         continue
                     v = [f.zero] * n
                     if s + t < p:
-                        v[idx(tgt, s + t)] = f.from_int(sgn)
+                        v[idx(tgt, s + t)] = f.norm(sgn)
                     put(idx(a, s), idx(b, t), tuple(v))
     # the derivation: [D, u_a ox x^j] = u_a ox (j x^{j-1} + j x^j)
     for a in (-1, 0, 1):
@@ -133,9 +133,8 @@ def example34(f, p):
             if j == 0:
                 continue
             v = [f.zero] * n
-            c = f.from_int(j)
-            v[idx(a, j - 1)] = c
-            v[idx(a, j)] = f.add(v[idx(a, j)], c)
+            v[idx(a, j - 1)] = f.norm(j)
+            v[idx(a, j)] = f.norm(j)
             put(D, idx(a, j), tuple(v))
 
     labels = []

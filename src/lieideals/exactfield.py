@@ -1,10 +1,12 @@
-"""Exact scalar arithmetic over GF(p) and over the rationals.
+"""Exact scalars over GF(p) and over the rationals.
 
-Scalars are kept in canonical form: an integer residue in ``0..p-1`` for a
-prime field, a reduced :class:`~fractions.Fraction` (positive denominator,
-which Fraction guarantees) for the rationals.  All arithmetic goes through
-the owning field object, so equal field elements always compare equal
-bit-for-bit.
+Scalars are native Python numbers: an int residue in ``0..p-1`` over a
+prime field, a :class:`~fractions.Fraction` (or an int) over the rationals.
+Callers combine them with ``+``, ``-`` and ``*`` and pass each result
+through ``field.norm``, which returns the canonical representative, so
+equal field elements always compare equal.  Division goes through
+``field.inv``.  A field object decides only what differs between GF(p) and
+Q: ``zero``, ``one``, ``norm``, ``inv``, literals and enumeration.
 """
 
 from fractions import Fraction
@@ -29,8 +31,6 @@ def is_prime(n: int) -> bool:
 class Field:
     """Common interface of :class:`PrimeField` and :class:`RationalField`."""
 
-    kind = None  # "prime-field" | "rationals"
-
     def characteristic(self) -> int:
         raise NotImplementedError
 
@@ -38,14 +38,11 @@ class Field:
         if self != other:
             raise FieldMismatchError(f"mixed fields: {self} and {other}")
 
-    # Subclasses provide: zero, one, add, sub, mul, div, neg, inv,
-    # from_int, parse, format, is_canonical.
+    # Subclasses provide: zero, one, norm, inv, parse, format.
 
 
 class PrimeField(Field):
     """GF(p) for a prime p <= 251.  Elements are ints in ``0..p-1``."""
-
-    kind = "prime-field"
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
@@ -68,31 +65,14 @@ class PrimeField(Field):
     def characteristic(self) -> int:
         return self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def norm(self, a):
+        """The residue of the integer a in ``0..p-1``."""
+        return a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def is_canonical(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
 
     def elements(self):
         return range(self.p)
@@ -111,8 +91,6 @@ class PrimeField(Field):
 class RationalField(Field):
     """The rationals with arbitrary-precision Fraction elements."""
 
-    kind = "rationals"
-
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -129,33 +107,15 @@ class RationalField(Field):
     def characteristic(self) -> int:
         return 0
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    def norm(self, a):
+        """a itself: int and Fraction arithmetic is exact and a Fraction is
+        always in lowest terms, so a new Fraction would only cost time."""
+        return a
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in Q")
-        return Fraction(a) / b
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def is_canonical(self, a) -> bool:
-        return isinstance(a, Fraction)
 
     def parse(self, text: str):
         try:

@@ -2,7 +2,8 @@
 
 Brackets are stored only for basis pairs i < j; the accessor applies
 antisymmetry, so inconsistent antisymmetric data cannot be represented.
-The Jacobi identity is validated on every basis triple at construction.
+The Jacobi identity is validated at construction, on every basis triple
+that involves a nonzero table entry (every other triple sums to zero).
 """
 
 from dataclasses import dataclass
@@ -20,12 +21,10 @@ from .linspace import (
     check_enumeration,
     full_subspace,
     lin_comb,
-    mat_vec,
     right_kernel,
     span,
     transpose,
     unit_vector,
-    vec_add,
     vec_is_zero,
     vec_scale,
     zero_subspace,
@@ -79,7 +78,7 @@ class LieAlgebra:
         v = self._table.get((j, i))
         if v is None:
             return zero_vector(self.field, self.dim)
-        return tuple(self.field.neg(a) for a in v)
+        return vec_scale(self.field, -1, v)
 
     def ad_matrix(self, i):
         """Matrix of ad(e_i): column j holds [e_i, e_j]."""
@@ -90,47 +89,38 @@ class LieAlgebra:
             self._ad[i] = transpose(cols, self.dim)
         return self._ad[i]
 
-    def ad_of(self, x):
-        """Matrix of ad(x) for an arbitrary vector x."""
-        f = self.field
-        rows = [list(zero_vector(f, self.dim)) for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            m = self.ad_matrix(i)
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    if m[r][c] != f.zero:
-                        rows[r][c] = f.add(rows[r][c], f.mul(xi, m[r][c]))
-        return tuple(tuple(r) for r in rows)
-
     def bracket(self, x, y):
         """Bilinear extension of the structure-constant table."""
-        f = self.field
         if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatchError("bracket operands must have length dim")
-        out = list(zero_vector(f, self.dim))
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            v = mat_vec(f, self.ad_matrix(i), y)
-            for k, a in enumerate(v):
-                if a != f.zero:
-                    out[k] = f.add(out[k], f.mul(xi, a))
-        return tuple(out)
+        out = [self.field.zero] * self.dim
+        for (i, j), v in self._table.items():
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                for k, a in enumerate(v):
+                    if a:
+                        out[k] += c * a
+        return tuple(map(self.field.norm, out))
 
     def _check_jacobi(self):
+        # a triple that meets no table entry sums to zero, so only the
+        # triples through a nonzero [e_i, e_j] are visited, in order
         f = self.field
-        units = [unit_vector(f, self.dim, i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    s = self.bracket(vij, units[k])
-                    s = vec_add(f, s, self.bracket(self.bracket_basis(j, k), units[i]))
-                    s = vec_add(f, s, self.bracket(self.bracket_basis(k, i), units[j]))
-                    if not vec_is_zero(f, s):
-                        raise JacobiError((i + 1, j + 1, k + 1), [f.format(a) for a in s])
+        n = self.dim
+        triples = sorted({
+            tuple(sorted((i, j, k)))
+            for i, j in self._table
+            for k in range(n)
+            if k != i and k != j
+        })
+        for i, j, k in triples:
+            terms = [
+                self.bracket(self.bracket_basis(a, b), unit_vector(f, n, c))
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            ]
+            s = tuple(f.norm(sum(t)) for t in zip(*terms))
+            if not vec_is_zero(f, s):
+                raise JacobiError((i + 1, j + 1, k + 1), [f.format(a) for a in s])
 
     # -- subspace machinery -------------------------------------------------
 

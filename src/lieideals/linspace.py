@@ -32,42 +32,37 @@ def unit_vector(field, n, i):
 
 
 def vec_add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field, u, v):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
+    norm = field.norm
+    return tuple(norm(a + b) for a, b in zip(u, v))
 
 
 def vec_scale(field, c, v):
-    return tuple(field.mul(c, a) for a in v)
+    norm = field.norm
+    return tuple(norm(c * a) for a in v)
 
 
 def vec_is_zero(field, v):
-    return all(a == field.zero for a in v)
+    return not any(v)
 
 
 def lin_comb(field, coeffs, vectors, n):
     """Sum of ``coeffs[i] * vectors[i]`` in coordinate n-space."""
-    out = list(zero_vector(field, n))
+    out = [field.zero] * n
     for c, v in zip(coeffs, vectors):
-        if c == field.zero:
-            continue
-        for j, a in enumerate(v):
-            out[j] = field.add(out[j], field.mul(c, a))
-    return tuple(out)
+        if c:
+            for j, a in enumerate(v):
+                if a:
+                    out[j] += c * a
+    return tuple(map(field.norm, out))
+
+
+def dot(field, u, v):
+    return field.norm(sum([a * b for a, b in zip(u, v) if a and b]))
 
 
 def mat_vec(field, rows, v):
     """Matrix times column vector; rows is m x n, v has length n."""
-    out = []
-    for row in rows:
-        s = field.zero
-        for a, b in zip(row, v):
-            if a != field.zero and b != field.zero:
-                s = field.add(s, field.mul(a, b))
-        out.append(s)
-    return tuple(out)
+    return tuple(dot(field, row, v) for row in rows)
 
 
 def transpose(rows, ncols):
@@ -86,23 +81,25 @@ def rref(field, rows):
     Returns ``(rows, pivots)`` with zero rows dropped and pivot columns
     strictly increasing; the result is the canonical basis of the row space.
     """
+    norm = field.norm
     work = [list(r) for r in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c] != field.zero), None)
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        if work[r][c] != field.one:
-            inv = field.inv(work[r][c])
-            work[r] = [field.mul(inv, x) for x in work[r]]
+        top = work[r]
+        if top[c] != 1:
+            s = field.inv(top[c])
+            top = work[r] = [norm(s * x) for x in top]
         for i in range(nrows):
-            if i != r and work[i][c] != field.zero:
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+            k = work[i][c]
+            if k and i != r:
+                work[i] = [norm(x - k * y) if y else x for x, y in zip(work[i], top)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -112,13 +109,14 @@ def rref(field, rows):
 
 def reduce_against(field, rows, pivots, v):
     """Residual of v after elimination by an RREF basis."""
+    norm = field.norm
     v = list(v)
     for row, p in zip(rows, pivots):
         c = v[p]
-        if c != field.zero:
+        if c:
             for j in range(p, len(v)):
-                if row[j] != field.zero:
-                    v[j] = field.sub(v[j], field.mul(c, row[j]))
+                if row[j]:
+                    v[j] = norm(v[j] - c * row[j])
     return tuple(v)
 
 
@@ -132,7 +130,7 @@ def right_kernel(field, rows, ncols):
         x = [field.zero] * ncols
         x[f] = field.one
         for r, p in enumerate(pivots):
-            x[p] = field.neg(red[r][f])
+            x[p] = field.norm(-red[r][f])
         basis.append(tuple(x))
     return basis
 
@@ -171,22 +169,21 @@ class EchelonBasis:
         """Insert v into the span; returns True if the dimension grew."""
         field = self.field
         res = self.reduce(v)
-        p = next((j for j, a in enumerate(res) if a != field.zero), None)
+        p = next((j for j, a in enumerate(res) if a), None)
         if p is None:
             return False
-        if res[p] != field.one:
+        if res[p] != 1:
             res = vec_scale(field, field.inv(res[p]), res)
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos] < p:
             pos += 1
         self.rows.insert(pos, res)
         self.pivots.insert(pos, p)
-        for i in range(len(self.rows)):
-            if i == pos:
-                continue
-            c = self.rows[i][p]
-            if c != field.zero:
-                self.rows[i] = vec_sub(field, self.rows[i], vec_scale(field, c, res))
+        norm = field.norm
+        for i, row in enumerate(self.rows):
+            c = row[p]
+            if c and i != pos:
+                self.rows[i] = tuple(norm(x - c * y) if y else x for x, y in zip(row, res))
         return True
 
     def __contains__(self, v):
@@ -461,7 +458,7 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
 def pivots_of(rows, field):
     pivots = []
     for row in rows:
-        pivots.append(next(j for j, a in enumerate(row) if a != field.zero))
+        pivots.append(next(j for j, a in enumerate(row) if a))
     return pivots
 
 

@@ -11,19 +11,19 @@ UNSUPPORTED rather than a guess.
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetExceededError, EnumerationUnsupportedError
-from .exactfield import PrimeField, RationalField
+from .exactfield import PrimeField
 from .ideals import core, find_weak_c_witness, subalgebras
 from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
     Subspace,
+    dot,
     lin_comb,
     mat_vec,
     projective_points,
@@ -33,9 +33,8 @@ from .linspace import (
     span,
     transpose,
     unit_vector,
-    vec_is_zero,
+    vec_add,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -80,11 +79,6 @@ class StructureFlags:
 def _closure(f, n, mats, v):
     """Smallest subspace of F^n containing v and mapped into itself by every
     matrix in ``mats``."""
-    if isinstance(f, PrimeField):
-        p = f.p
-        act = lambda rows, w: tuple(sum(map(operator.mul, r, w)) % p for r in rows)
-    else:
-        act = lambda rows, w: mat_vec(f, rows, w)
     basis = EchelonBasis(f, n)
     work = [v]
     while work:
@@ -94,7 +88,7 @@ def _closure(f, n, mats, v):
         if basis.dim == n:
             break
         for rows in mats:
-            work.append(act(rows, w))
+            work.append(mat_vec(f, rows, w))
     return basis.subspace()
 
 
@@ -136,7 +130,7 @@ def _norton(L, V):
     for Ri in R:
         for lam in f.elements():
             theta = tuple(
-                tuple(f.sub(a, lam) if c == r else a for c, a in enumerate(row))
+                tuple(f.norm(a - lam) if c == r else a for c, a in enumerate(row))
                 for r, row in enumerate(Ri)
             )
             k = d - len(rref(f, theta)[1])
@@ -209,10 +203,10 @@ def is_simple(L, point_budget=DEFAULT_BUDGET):
 def _line_is_ideal(L, v):
     # [e_i, v] must be a multiple of v for every basis vector
     f = L.field
-    lead = next(j for j, a in enumerate(v) if a != f.zero)
+    lead = next(j for j, a in enumerate(v) if a)
     for i in range(L.dim):
         w = mat_vec(f, L.ad_matrix(i), v)
-        c = f.div(w[lead], v[lead])
+        c = f.norm(w[lead] * f.inv(v[lead]))
         if w != vec_scale(f, c, v):
             return False
     return True
@@ -237,30 +231,16 @@ def _char_poly(f, rows):
     c = f.one
     for k in range(1, n + 1):
         # M <- A @ M + c * I
-        AM = [
-            [
-                _dot(f, rows[i], [M[t][j] for t in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        cols = transpose(M, n)
+        M = [[dot(f, row, col) for col in cols] for row in rows]
         for i in range(n):
-            AM[i][i] = f.add(AM[i][i], c)
-        M = AM
-        tr = f.zero
-        for i in range(n):
-            tr = f.add(tr, _dot(f, rows[i], [M[t][i] for t in range(n)]))
-        c = f.mul(f.from_int(-1), f.div(tr, f.from_int(k)))
+            M[i][i] = f.norm(M[i][i] + c)
+        cols = transpose(M, n)
+        tr = sum(dot(f, rows[i], cols[i]) for i in range(n))
+        c = f.norm(-tr * f.inv(k))
         coeffs[n - k] = c
     # drop the extra c*I mixed into M on the last step: coeffs are already set
     return coeffs
-
-
-def _dot(f, u, v):
-    acc = f.zero
-    for a, b in zip(u, v):
-        acc = f.add(acc, f.mul(a, b))
-    return acc
 
 
 def _divisors(m, cap=10**12):
@@ -316,7 +296,7 @@ def _rational_roots(coeffs):
 
 def _eigenspace(f, rows, lam, n):
     shifted = [
-        tuple(f.sub(rows[i][j], lam if i == j else f.zero) for j in range(n))
+        tuple(f.norm(rows[i][j] - lam) if i == j else rows[i][j] for j in range(n))
         for i in range(n)
     ]
     ker = right_kernel(f, shifted, n)
@@ -532,7 +512,7 @@ def _case_ii_split(L):
             x = None
             for w in Wc.rows:
                 if w not in H:
-                    x = tuple(f.add(a, b) for a, b in zip(x0, w))
+                    x = vec_add(f, x0, w)
                     break
             if x is None:
                 return None

@@ -29,6 +29,7 @@ from .ideals import (
     find_c_witness,
     find_weak_c_witness,
     ideals_of,
+    is_weak_c_ideal,
     min_power_in,
     subalgebras,
     subideal_chain,
@@ -115,9 +116,6 @@ def try_member(member_id, builder):
 def _sub_is_solvable(L, S):
     return L.restrict(S).algebra.is_solvable()
 
-def _is_weak_c(L, B):
-    return find_weak_c_witness(L, B) is not None
-
 
 def _max_subs_of_max_nilp(L):
     """(C, M) pairs: C a maximal nilpotent subalgebra, M maximal in C,
@@ -136,7 +134,7 @@ def _premise_max_nilp_max_weak_c(L):
     violating pair."""
     pairs = _max_subs_of_max_nilp(L)
     for C, M in pairs:
-        if not _is_weak_c(L, M):
+        if not is_weak_c_ideal(L, M):
             return False, len(pairs), (C, M)
     return True, len(pairs), None
 
@@ -194,7 +192,7 @@ def check_lemma_2_4_2(m):
         hyp += 1
         if B.dim in (0, L.dim):
             continue
-        if _is_weak_c(L, B):
+        if is_weak_c_ideal(L, B):
             weak_c_simple = False
             witness = B
             break
@@ -214,7 +212,7 @@ def check_lemma_2_4_3(m):
     subs = subalgebras(L)
     hyp = 0
     for B in subs:
-        if not _is_weak_c(L, B):
+        if not is_weak_c_ideal(L, B):
             continue
         for K in subs:
             if not B <= K:
@@ -238,7 +236,7 @@ def check_lemma_2_4_4(m):
             if not I <= B:
                 continue
             hyp += 1
-            below = _is_weak_c(L, B)
+            below = is_weak_c_ideal(L, B)
             Bq = qmap.project_subspace(B)
             above = find_weak_c_witness(Lq, Bq) is not None
             if below != above:
@@ -265,7 +263,7 @@ def check_proposition_2_5(m):
         for B in subalgebras(L):
             if not B <= FC:
                 continue
-            if not _is_weak_c(L, B):
+            if not is_weak_c_ideal(L, B):
                 continue
             hyp += 1
             if not L.is_ideal(B) or not B <= phi_L:
@@ -286,7 +284,7 @@ def check_lemma_2_7(m):
     hyp = 0
     for B in subalgebras(L):
         hyp += 1
-        has_witness = _is_weak_c(L, B)
+        has_witness = is_weak_c_ideal(L, B)
         K = subideal_complement_mod_core(L, B)
         if has_witness != (K is not None):
             return FAIL, hyp, {
@@ -332,7 +330,7 @@ def check_corollary_3_3_forward(m):
     hyp = 0
     for M in maximal_subalgebras(L):
         hyp += 1
-        if not _is_weak_c(L, M):
+        if not is_weak_c_ideal(L, M):
             return FAIL, hyp, {"M": _rows(M)}
     return PASS, hyp, {}
 
@@ -485,7 +483,7 @@ def check_lemma_5_1(m):
     for v in projective_points(L.field, L.dim):
         hyp += 1
         B = L.span([v])
-        weak = _is_weak_c(L, B)
+        weak = is_weak_c_ideal(L, B)
         strong = find_c_witness(L, B) is not None
         if weak != strong:
             return FAIL, hyp, {"B": _rows(B), "weak": weak, "c_ideal": strong}
@@ -559,7 +557,7 @@ def observe_theorem_3_2(m):
     for B in ideals_of(L):
         hyp += 1
         lhs = _sub_is_solvable(L, B)
-        rhs = all(_is_weak_c(L, M) for M in maxes if not B <= M)
+        rhs = all(is_weak_c_ideal(L, M) for M in maxes if not B <= M)
         if lhs != rhs:
             return False, hyp, {"B": _rows(B), "solvable": lhs, "all_weak_c": rhs}
     return True, hyp, {}
@@ -569,7 +567,7 @@ def observe_corollary_3_3(m):
     """L solvable iff every maximal subalgebra is a weak c-ideal."""
     L = m.algebra
     maxes = maximal_subalgebras(L)
-    rhs = all(_is_weak_c(L, M) for M in maxes)
+    rhs = all(is_weak_c_ideal(L, M) for M in maxes)
     lhs = L.is_solvable()
     ok = lhs == rhs
     return ok, len(maxes), {} if ok else {"solvable": lhs, "all_weak_c": rhs}
@@ -581,7 +579,7 @@ def observe_theorem_3_6(m):
     L = m.algebra
     maxes = maximal_subalgebras(L)
     lhs = any(
-        _sub_is_solvable(L, M) and _is_weak_c(L, M) for M in maxes
+        _sub_is_solvable(L, M) and is_weak_c_ideal(L, M) for M in maxes
     )
     rhs = L.is_solvable()
     ok = lhs == rhs
@@ -592,7 +590,7 @@ def observe_theorem_3_7(m):
     """All maximal nilpotent subalgebras weak c-ideals forces solvability."""
     L = m.algebra
     nilps = maximal_nilpotent_subalgebras(L)
-    if not all(_is_weak_c(L, U) for U in nilps):
+    if not all(is_weak_c_ideal(L, U) for U in nilps):
         return True, 0, {"note": "hypothesis fails, statement vacuous"}
     ok = L.is_solvable()
     return ok, len(nilps), {} if ok else {"solvable": False}
@@ -602,7 +600,7 @@ def observe_theorem_3_8(m):
     """All Cartan subalgebras weak c-ideals forces solvability."""
     L = m.algebra
     cartans = cartan_subalgebras(L)
-    if not all(_is_weak_c(L, H) for H in cartans):
+    if not all(is_weak_c_ideal(L, H) for H in cartans):
         return True, 0, {"note": "hypothesis fails, statement vacuous"}
     ok = L.is_solvable()
     return ok, len(cartans), {} if ok else {"solvable": False}

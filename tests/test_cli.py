@@ -6,13 +6,16 @@ usage and parse problems, 3 for questions outside the artifact's reach.
 """
 
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import lieideals
 from lieideals.cli import main, parse_document, render_document
 from lieideals.errors import (
     DuplicateBracketError,
@@ -130,6 +133,15 @@ def test_parse_surfaces_jacobi_failures():
     with pytest.raises(JacobiError) as exc:
         parse_document((DATA / "bad_jacobi.alg").read_text())
     assert exc.value.triple == (1, 2, 3)
+
+
+def test_parsing_a_large_sparse_table_is_fast():
+    # the Jacobi check visits only the triples that meet a table entry: 298
+    # here, where all basis triples would be about 4.5 million
+    t0 = time.perf_counter()
+    built = parse_document("field GF(2)\ndim 300\n[e1,e2] = e3\n")
+    assert time.perf_counter() - t0 < 5.0
+    assert built.algebra.dim == 300
 
 
 def test_parse_preset_documents():
@@ -521,6 +533,10 @@ def test_argparse_surface(capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the same copy of the package as this process, also
+    # from a checkout that is not installed
+    src = str(Path(lieideals.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -533,6 +549,7 @@ def test_module_entry_point_runs():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "yes"

@@ -107,14 +107,14 @@ def test_example34_brackets_by_hand():
     D = e(9)
     got = L.bracket(D, e(idx(0, 1)))
     want = tuple(
-        f.add(a, b) for a, b in zip(e(idx(0, 0)), e(idx(0, 1)))
+        f.norm(a + b) for a, b in zip(e(idx(0, 0)), e(idx(0, 1)))
     )
     assert got == want
     # [D, u1 ox x^2] = u1 ox (2x + 2x^2)
     got = L.bracket(D, e(idx(1, 2)))
     expect = [f.zero] * 10
-    expect[idx(1, 1)] = f.from_int(2)
-    expect[idx(1, 2)] = f.from_int(2)
+    expect[idx(1, 1)] = f.norm(2)
+    expect[idx(1, 2)] = f.norm(2)
     assert got == tuple(expect)
     # [D, u_a ox 1] = 0
     assert L.bracket(D, e(idx(1, 0))) == (0,) * 10

@@ -1,11 +1,14 @@
-"""Field-layer tests: exhaustive axiom checks for small GF(p), Fraction
-agreement for Q, literal parsing."""
+"""Field-layer tests: exhaustive axiom checks for small GF(p) with native
+arithmetic and ``norm``, Fraction agreement for Q, literal parsing."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lieideals
 from lieideals.errors import FieldMismatchError, LieIdealsError
 from lieideals.exactfield import (
     GF,
@@ -30,20 +33,23 @@ def test_prime_field_axioms_exhaustive(p):
     f = GF(p)
     els = list(f.elements())
     assert els == list(range(p))
+    n = f.norm
     for a in els:
-        assert f.add(a, f.zero) == a
-        assert f.mul(a, f.one) == a
-        assert f.add(a, f.neg(a)) == f.zero
+        assert n(a + f.zero) == a
+        assert n(a * f.one) == a
+        assert n(a + n(-a)) == f.zero
         if a != f.zero:
-            assert f.mul(a, f.inv(a)) == f.one
+            assert n(a * f.inv(a)) == f.one
         for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
+            # closure: every result is a canonical residue
+            assert n(a + b) in els and n(a - b) in els and n(a * b) in els
+            assert n(a + b) == n(b + a)
+            assert n(a * b) == n(b * a)
+            assert n(a - b) == n(a + n(-b))
             for c in els:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                assert n(n(a + b) + c) == n(a + n(b + c))
+                assert n(n(a * b) * c) == n(a * n(b * c))
+                assert n(a * n(b + c)) == n(n(a * b) + n(a * c))
 
 
 def test_prime_field_zero_division():
@@ -51,7 +57,7 @@ def test_prime_field_zero_division():
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
     with pytest.raises(ZeroDivisionError):
-        f.div(3, 0)
+        f.inv(10)  # a multiple of p is zero too
 
 
 def test_prime_field_construction_guards():
@@ -95,12 +101,16 @@ rationals = st.fractions(
 
 @given(rationals, rationals)
 def test_rationals_match_fraction_arithmetic(a, b):
-    assert QQ.add(a, b) == a + b
-    assert QQ.sub(a, b) == a - b
-    assert QQ.mul(a, b) == a * b
-    assert QQ.neg(a) == -a
+    # Fraction arithmetic is already canonical: norm keeps every result
+    for x in (a + b, a - b, a * b, -a):
+        assert QQ.norm(x) is x
     if b != 0:
-        assert QQ.div(a, b) == a / b
+        assert a * QQ.inv(b) == a / b
+        assert type(QQ.inv(b)) is Fraction
+    if b.denominator == 1 and b != 0:
+        # an int scalar inverts to a Fraction, never to a float
+        assert QQ.inv(int(b)) == Fraction(1, int(b))
+        assert type(QQ.inv(int(b))) is Fraction
 
 
 @given(rationals)
@@ -132,3 +142,65 @@ def test_field_from_name():
     for bad in ["GF(4)", "GF(x)", "R", "gf(3)", "GF[3]"]:
         with pytest.raises(LieIdealsError):
             field_from_name(bad)
+
+
+def _reductions_modulo_p(tree):
+    """Lines that reduce modulo a field's ``p``: ``x % f.p``, ``x %= f.p``,
+    ``pow(x, e, f.p)``, ``divmod(x, f.p)``, or any of them through a name
+    bound to ``f.p``."""
+    aliases = {
+        t.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "p"
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def is_p(e):
+        return (isinstance(e, ast.Attribute) and e.attr == "p") or (
+            isinstance(e, ast.Name) and e.id in aliases
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            hit = is_p(node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+            hit = is_p(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = node.args
+            hit = (node.func.id == "pow" and len(args) == 3 and is_p(args[2])) or (
+                node.func.id == "divmod" and len(args) == 2 and is_p(args[1])
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_exactfield_reduces_modulo_p():
+    # every reduction to a canonical residue goes through field.norm
+    package = Path(lieideals.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exactfield.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{n}" for n in _reductions_modulo_p(tree)]
+    assert offenders == []
+
+
+def test_the_modulo_p_scan_sees_each_form():
+    src = (
+        "q = f.p\n"
+        "a = x % f.p\n"
+        "b = x % q\n"
+        "x %= self.p\n"
+        "c = pow(x, 3, f.p)\n"
+        "d = divmod(x, q)\n"
+        "e = x % 7 + len(s) % n\n"
+    )
+    assert _reductions_modulo_p(ast.parse(src)) == [2, 3, 4, 5, 6]

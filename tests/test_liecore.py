@@ -5,6 +5,8 @@ against values computed by hand from the structure-constant tables.
 """
 
 import gc
+import itertools
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -45,9 +47,43 @@ def test_bracket_basis_is_antisymmetric_and_defaults_to_zero():
     L = heis(QQ)
     e3 = unit_vector(QQ, 3, 2)
     assert L.bracket_basis(0, 1) == e3
-    assert L.bracket_basis(1, 0) == tuple(QQ.neg(a) for a in e3)
+    assert L.bracket_basis(1, 0) == tuple(-a for a in e3)
     assert L.bracket_basis(0, 2) == (0, 0, 0)
     assert L.bracket_basis(1, 1) == (0, 0, 0)
+
+
+def test_jacobi_check_reports_the_first_failing_triple_of_all():
+    # differential against the plain scan of every basis triple
+    rng = random.Random(5)
+    f = GF(3)
+    n = 5
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    failures = 0
+    for _ in range(60):
+        table = {
+            ij: tuple(rng.randrange(3) for _ in range(n))
+            for ij in rng.sample(pairs, rng.randrange(1, 4))
+        }
+        L = LieAlgebra(f, n, table, check=False)
+        expected = None
+        for i, j, k in itertools.combinations(range(n), 3):
+            e = [unit_vector(f, n, t) for t in (i, j, k)]
+            terms = (
+                L.bracket(L.bracket(e[0], e[1]), e[2]),
+                L.bracket(L.bracket(e[1], e[2]), e[0]),
+                L.bracket(L.bracket(e[2], e[0]), e[1]),
+            )
+            if any(f.norm(sum(t[m] for t in terms)) for m in range(n)):
+                expected = (i + 1, j + 1, k + 1)
+                break
+        if expected is None:
+            LieAlgebra(f, n, table)
+        else:
+            failures += 1
+            with pytest.raises(JacobiError) as exc:
+                LieAlgebra(f, n, table)
+            assert exc.value.triple == expected
+    assert failures > 10
 
 
 def test_jacobi_violation_reports_first_triple_and_residual():
@@ -131,11 +167,12 @@ def test_ad_matrix_and_ad_of_agree_with_bracket():
     L = heis(QQ)
     # ad(e1) sends e2 to e3 and kills e1, e3
     assert L.ad_matrix(0) == ((0, 0, 0), (0, 0, 0), (0, 1, 0))
+    # ad(x) = sum of x_i ad(e_i), applied to y, is the bracket [x, y]
     x = (2, 3, 5)
     for y in [(1, 0, 0), (0, 1, 0), (1, 1, 1)]:
-        m = L.ad_of(x)
         applied = tuple(
-            sum(m[r][c] * y[c] for c in range(3)) for r in range(3)
+            sum(x[i] * L.ad_matrix(i)[r][c] * y[c] for i in range(3) for c in range(3))
+            for r in range(3)
         )
         assert applied == L.bracket(x, y)
 

@@ -4,6 +4,7 @@ against a brute-force span collection, solvers, quotient maps."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +48,7 @@ def brute_span(f, vectors, n):
         acc = [f.zero] * n
         for c, v in zip(coeffs, vectors):
             for i in range(n):
-                acc[i] = f.add(acc[i], f.mul(c, v[i]))
+                acc[i] = f.norm(acc[i] + c * v[i])
         out.add(tuple(acc))
     if not vectors:
         out.add(tuple([f.zero] * n))
@@ -86,15 +87,32 @@ def test_rref_rational_example():
     assert pivots == (0, 1)
 
 
-@settings(max_examples=60)
-@given(st.integers(0, 4), st.integers(0, 5), st.sampled_from([2, 3, 5]), st.randoms())
-def test_rref_properties_random(nrows, ncols, p, rng):
-    f = GF(p)
+def _random_scalar(f, rng):
+    if f == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randrange(f.p)
+
+
+def _is_canonical_scalar(f, x):
+    if f == QQ:
+        return type(x) in (int, Fraction)
+    return type(x) is int and 0 <= x < f.p
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.sampled_from([GF(2), GF(3), GF(5), GF(7), GF(251), QQ]),
+    st.randoms(),
+)
+def test_rref_properties_random(nrows, ncols, f, rng):
     rows = [
-        tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)
+        tuple(_random_scalar(f, rng) for _ in range(ncols)) for _ in range(nrows)
     ]
     red, pivots = rref(f, rows)
     _assert_canonical(f, red, pivots)
+    assert all(_is_canonical_scalar(f, x) for row in red for x in row)
     # idempotent
     again, pv2 = rref(f, list(red))
     assert again == red and pv2 == pivots
@@ -104,7 +122,7 @@ def test_rref_properties_random(nrows, ncols, p, rng):
         for row, p_ in zip(red, pivots):
             c = rem[p_]
             if c != f.zero:
-                rem = [f.sub(x, f.mul(c, y)) for x, y in zip(rem, row)]
+                rem = [f.norm(x - c * y) for x, y in zip(rem, row)]
         assert all(x == f.zero for x in rem)
 
 
@@ -121,7 +139,7 @@ def test_subspace_equality_under_shuffle_and_rescale(p, n, rng):
     shuffled = list(gens)
     rng.shuffle(shuffled)
     scaled = [
-        tuple(f.mul(c, x) for x in v)
+        tuple(f.norm(c * x) for x in v)
         for v in shuffled
         for c in [rng.randrange(1, p)]
     ]

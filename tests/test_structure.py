@@ -20,7 +20,7 @@ from lieideals.errors import BudgetExceededError, EnumerationUnsupportedError
 from lieideals.exactfield import GF, QQ
 from lieideals.ideals import find_weak_c_witness, ideals_of, subalgebras
 from lieideals.liecore import LieAlgebra
-from lieideals.linspace import projective_points, unit_vector, vec_scale, vec_sub
+from lieideals.linspace import projective_points, unit_vector, vec_add, vec_scale
 from lieideals.structure import (
     OneDimClassification,
     TriState,
@@ -155,13 +155,12 @@ def sl2_on_plane(f):
     spin shows L reducible.
     """
     h, e, fe, p, q = (unit_vector(f, 5, i) for i in range(5))
-    c = f.from_int
     brackets = {
-        (0, 1): vec_scale(f, c(2), e),
-        (0, 2): vec_scale(f, c(-2), fe),
+        (0, 1): vec_scale(f, 2, e),
+        (0, 2): vec_scale(f, -2, fe),
         (1, 2): h,
         (0, 3): p,
-        (0, 4): vec_scale(f, c(-1), q),
+        (0, 4): vec_scale(f, -1, q),
         (1, 4): p,
         (2, 3): q,
     }
@@ -177,20 +176,19 @@ def sl2_on_heisenberg(f):
     Only the third kernel line, h + 2y = 2z, spins to a proper ideal.
     """
     h, e, fe, p, q, y = (unit_vector(f, 6, i) for i in range(6))
-    c = f.from_int
     brackets = {
-        (0, 1): vec_scale(f, c(2), e),
-        (0, 2): vec_scale(f, c(-2), fe),
+        (0, 1): vec_scale(f, 2, e),
+        (0, 2): vec_scale(f, -2, fe),
         (1, 2): h,
         (0, 3): p,
-        (0, 4): vec_scale(f, c(-1), q),
+        (0, 4): vec_scale(f, -1, q),
         (1, 4): p,
         (2, 3): q,
-        (3, 4): vec_sub(f, y, h),
+        (3, 4): vec_add(f, y, vec_scale(f, -1, h)),
         # [x, y] = [x, h] since z is central
-        (1, 5): vec_scale(f, c(-2), e),
-        (2, 5): vec_scale(f, c(2), fe),
-        (3, 5): vec_scale(f, c(-1), p),
+        (1, 5): vec_scale(f, -2, e),
+        (2, 5): vec_scale(f, 2, fe),
+        (3, 5): vec_scale(f, -1, p),
         (4, 5): q,
     }
     return LieAlgebra(f, 6, brackets, labels=["h", "e", "f", "p", "q", "y"])
