@@ -49,7 +49,6 @@ from .ideals import (
     is_c_ideal,
     is_subideal,
     is_weak_c_ideal,
-    min_power_in,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
@@ -58,8 +57,6 @@ from .ideals import (
 )
 from .structure import (
     OneDimClassification,
-    StructureFlags,
-    TriState,
     cartan_subalgebras,
     classify_one_dim_weak_c,
     flags,
@@ -85,6 +82,6 @@ from .verify import (
     run_suite,
     try_member,
 )
-from .cli import parse_document, render_document
+from .document import parse_document, render_document
 
 __all__ = [name for name in dir() if not name.startswith("_")]

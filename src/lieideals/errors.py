@@ -14,7 +14,8 @@ class AmbientMismatchError(LieIdealsError):
 
 
 class EnumerationUnsupportedError(LieIdealsError):
-    """Exhaustive enumeration requested over an infinite field."""
+    """An exhaustive search the artifact cannot run: enumeration over an
+    infinite field, or a rational root search past its divisor cap."""
 
 
 class BudgetExceededError(LieIdealsError):

@@ -396,13 +396,3 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
             continue
         return qmap.preimage_subspace(Kq)
     return None
-
-
-# ---------------------------------------------------------------------------
-# series containment bounds
-# ---------------------------------------------------------------------------
-
-def min_power_in(L, K, kind):
-    """Smallest 1-based series index whose term lies inside K, or None if
-    even the stable term escapes K."""
-    return L.series(kind).min_index_inside(K)

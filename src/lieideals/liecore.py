@@ -144,15 +144,6 @@ class LieAlgebra:
     def is_ideal(self, S):
         return self.product_space(self.full_space(), S) <= S
 
-    def subalgebra_closure(self, S):
-        """Smallest bracket-closed subspace containing S."""
-        U = S
-        while True:
-            nxt = U + self.product_space(U, U)
-            if nxt == U:
-                return U
-            U = nxt
-
     def series(self, kind):
         """Derived or lower-central series, stopping at stabilization."""
         if kind not in (DERIVED, LOWER_CENTRAL):
@@ -274,10 +265,6 @@ class LieAlgebra:
             return self.labels.index(name)
         except ValueError:
             raise NotContainedError(f"unknown basis label {name!r}") from None
-
-    def table_key(self):
-        """Structural identity: field, dimension and bracket table."""
-        return (repr(self.field), self.dim, tuple(sorted(self._table.items())))
 
     def to_json(self):
         f = self.field

@@ -82,7 +82,7 @@ def rref(field, rows):
     strictly increasing; the result is the canonical basis of the row space.
     """
     norm = field.norm
-    work = [list(r) for r in rows]
+    work = [list(r) for r in rows if any(r)]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []

@@ -4,12 +4,12 @@ subalgebra, and the classifier for algebras whose one-dimensional subalgebras
 are all weak c-ideals.
 
 Predicates that need exhaustive search are restricted to prime fields within
-an explicit budget; everything else works over any supported field.  Results
-that depend on an unavailable search come back as the tri-state value
-UNSUPPORTED rather than a guess.
+an explicit budget; everything else works over any supported field.  A
+predicate that cannot decide raises BudgetExceededError or
+EnumerationUnsupportedError rather than guessing; the front ends turn the
+raise into "unsupported".
 """
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +23,7 @@ from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
     Subspace,
+    check_enumeration,
     dot,
     lin_comb,
     mat_vec,
@@ -36,40 +37,6 @@ from .linspace import (
     vec_add,
     vec_scale,
 )
-
-
-class TriState(enum.Enum):
-    """Three-valued predicate result.  UNSUPPORTED marks artifact limits
-    (wrong field, blown budget), never mathematical falsehood."""
-
-    YES = "true"
-    NO = "false"
-    UNSUPPORTED = "unsupported"
-
-    def __bool__(self):
-        raise TypeError("tri-state result; compare against TriState members")
-
-    @classmethod
-    def of(cls, b):
-        return cls.YES if b else cls.NO
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    nilpotent: TriState
-    solvable: TriState
-    supersolvable: TriState
-    simple: TriState
-    almost_abelian: TriState
-
-    def to_json(self):
-        return {
-            "nilpotent": self.nilpotent.value,
-            "solvable": self.solvable.value,
-            "supersolvable": self.supersolvable.value,
-            "simple": self.simple.value,
-            "almost_abelian": self.almost_abelian.value,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +62,6 @@ def _closure(f, n, mats, v):
 def spin(L, v):
     """Smallest ideal of L containing v (adjoint-invariant closure)."""
     return _closure(L.field, L.dim, [L.ad_matrix(i) for i in range(L.dim)], v)
-
-
-def _projective_count(q, n):
-    return (q**n - 1) // (q - 1) if n > 0 else 0
 
 
 def _points(S):
@@ -146,7 +109,7 @@ def _norton(L, V):
     return _closure(f, d, [transpose(Ri, d) for Ri in R], w).dim == d
 
 
-def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
+def minimal_ideals(L, budget=DEFAULT_BUDGET):
     """Minimal nonzero ideals, exactly, over prime fields.
 
     A central minimal ideal is a line of the centre, and every such line is
@@ -154,17 +117,10 @@ def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
     every lower-central term and in their limit V.  When Norton's test
     shows V irreducible, V is the only non-central one; otherwise they are
     the minimal spins of the vectors of V, since a minimal ideal is the
-    spin of each of its nonzero vectors.  The budget gates the projective
-    points of L, the space the answer covers, even though fewer are spun.
+    spin of each of its nonzero vectors.  The budget gates the lines of L,
+    the space the answer covers, even though fewer are spun.
     """
-    f = L.field
-    if not isinstance(f, PrimeField):
-        raise EnumerationUnsupportedError(
-            "minimal-ideal spinning needs a finite prime field"
-        )
-    total = _projective_count(f.p, L.dim)
-    if total > point_budget:
-        raise BudgetExceededError(total, point_budget)
+    check_enumeration(L.field, L.dim, budget, (1,))
     found = {L.span([z]) for z in _points(L.center())}
     V = L.series(LOWER_CENTRAL).terms[-1]
     if not V.is_zero():
@@ -176,24 +132,21 @@ def minimal_ideals(L, point_budget=DEFAULT_BUDGET):
     return sorted(found, key=lambda S: S.sort_key())
 
 
-def is_simple(L, point_budget=DEFAULT_BUDGET):
+def is_simple(L, budget=DEFAULT_BUDGET):
     """Simple iff dim > 1, L = [L, L] and every nonzero vector spins to the
-    whole algebra, which Norton's test decides on V = L."""
-    f = L.field
-    if not isinstance(f, PrimeField):
-        return TriState.UNSUPPORTED
+    whole algebra, which Norton's test decides on V = L.  Gated like
+    :func:`minimal_ideals`, by the lines of L."""
+    check_enumeration(L.field, L.dim, budget, (1,))
     if L.dim <= 1:
-        return TriState.NO
-    if _projective_count(f.p, L.dim) > point_budget:
-        return TriState.UNSUPPORTED
+        return False
     full = L.full_space()
     if L.product_space(full, full) != full:
-        return TriState.NO
+        return False
     # Norton's test always decides here: ad(e_i) kills e_i, and some ad(e_i)
     # is nonzero because L = [L, L] is not abelian
     irreducible = _norton(L, full)
     assert irreducible is not None
-    return TriState.of(irreducible)
+    return irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +198,10 @@ def _char_poly(f, rows):
 
 def _divisors(m, cap=10**12):
     m = abs(m)
-    if m == 0:
-        return None
     if m > cap:
-        return None
+        raise EnumerationUnsupportedError(
+            f"rational root search needs the divisors of {m}, cap is {cap}"
+        )
     out = []
     d = 1
     while d * d <= m:
@@ -260,8 +213,9 @@ def _divisors(m, cap=10**12):
 
 
 def _rational_roots(coeffs):
-    """All rational roots of a polynomial with Fraction coefficients, or None
-    when the integer factorizations involved are out of desk range."""
+    """All rational roots of a nonzero polynomial with Fraction
+    coefficients.  Raises EnumerationUnsupportedError when a coefficient to
+    factor is beyond the divisor cap."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -279,12 +233,9 @@ def _rational_roots(coeffs):
     ints = ints[shift:]
     if len(ints) == 1:
         return sorted(roots)
-    ps = _divisors(ints[0])
-    qs = _divisors(ints[-1])
-    if ps is None or qs is None:
-        return None
-    for num in ps:
-        for den in qs:
+    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    for num in nums:
+        for den in dens:
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 acc = Fraction(0)
                 for c in reversed(ints):
@@ -304,16 +255,14 @@ def _eigenspace(f, rows, lam, n):
 
 
 def _find_line_ideal_rational(L):
-    """Common rational eigenvector search; returns a line ideal, None when
-    there is none, or UNSUPPORTED when root extraction gave up."""
+    """Common rational eigenvector search; returns a line ideal, or None
+    when there is none."""
     f = L.field
     n = L.dim
     spaces = [L.full_space()]
     for i in range(n):
         rows = L.ad_matrix(i)
         roots = _rational_roots(_char_poly(f, rows))
-        if roots is None:
-            return TriState.UNSUPPORTED
         refined = set()
         for W in spaces:
             for lam in roots:
@@ -333,25 +282,21 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
     """Existence of a flag of ideals of L with one-dimensional steps.
 
     Greedy recursion on any one-dimensional ideal is complete because
-    supersolvability passes to quotients and lifts back along them.
+    supersolvability passes to quotients and lifts back along them.  Over
+    GF(p) the line scan is gated by the lines of L; over Q the eigenvector
+    search raises when its root extraction gives up.
     """
-    if L.dim == 0:
-        return TriState.YES
-    if L.is_nilpotent():
-        return TriState.YES
+    if L.dim == 0 or L.is_nilpotent():
+        return True
     if not L.is_solvable():
-        return TriState.NO
-    f = L.field
-    if isinstance(f, PrimeField):
-        if _projective_count(f.p, L.dim) > budget:
-            return TriState.UNSUPPORTED
+        return False
+    if isinstance(L.field, PrimeField):
+        check_enumeration(L.field, L.dim, budget, (1,))
         line = _find_line_ideal_finite(L)
     else:
         line = _find_line_ideal_rational(L)
-        if line is TriState.UNSUPPORTED:
-            return TriState.UNSUPPORTED
     if line is None:
-        return TriState.NO
+        return False
     return is_supersolvable(L.quotient(line)[0], budget)
 
 
@@ -529,7 +474,7 @@ def _case_ii_split(L):
     return (A, B)
 
 
-def classify_one_dim_weak_c(L, cross_check=True, budget=DEFAULT_BUDGET):
+def classify_one_dim_weak_c(L, budget=DEFAULT_BUDGET):
     """Structural trichotomy behind "every one-dimensional subalgebra is a
     weak c-ideal": third lower-central term zero, or a split into an abelian
     ideal plus an almost abelian ideal, or neither.
@@ -549,7 +494,7 @@ def classify_one_dim_weak_c(L, cross_check=True, budget=DEFAULT_BUDGET):
             verdict = OneDimClassification("case-ii", split[0], split[1], None, None)
         else:
             verdict = OneDimClassification("neither", None, None, None, None)
-    if cross_check and isinstance(L.field, PrimeField):
+    if isinstance(L.field, PrimeField):
         try:
             all_weak = True
             for v in projective_points(L.field, L.dim):
@@ -569,19 +514,27 @@ def classify_one_dim_weak_c(L, cross_check=True, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def flags(L, budget=DEFAULT_BUDGET):
-    return StructureFlags(
-        nilpotent=TriState.of(L.is_nilpotent()),
-        solvable=TriState.of(L.is_solvable()),
-        supersolvable=is_supersolvable(L, budget),
-        simple=is_simple(L, budget),
-        almost_abelian=TriState.of(is_almost_abelian(L)),
-    )
+    """The structure predicates as JSON strings: "true", "false", or
+    "unsupported" for a predicate that gives up."""
+    def flag(predicate):
+        try:
+            return "true" if predicate() else "false"
+        except (BudgetExceededError, EnumerationUnsupportedError):
+            return "unsupported"
+
+    return {
+        "nilpotent": flag(L.is_nilpotent),
+        "solvable": flag(L.is_solvable),
+        "supersolvable": flag(lambda: is_supersolvable(L, budget)),
+        "simple": flag(lambda: is_simple(L, budget)),
+        "almost_abelian": flag(lambda: is_almost_abelian(L)),
+    }
 
 
 def structure_report(L, budget=DEFAULT_BUDGET):
     """JSON-ready structure summary: flags, lattice counts by dimension,
     distinguished subalgebra families."""
-    doc = {"flags": flags(L, budget).to_json()}
+    doc = {"flags": flags(L, budget)}
     try:
         counts = {}
         for S in subalgebras(L, budget):

@@ -30,16 +30,14 @@ from .ideals import (
     find_weak_c_witness,
     ideals_of,
     is_weak_c_ideal,
-    min_power_in,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
     verify_c,
 )
 from .liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
-from .linspace import projective_points
+from .linspace import count_subspaces, projective_points
 from .structure import (
-    TriState,
     cartan_subalgebras,
     classify_one_dim_weak_c,
     frattini,
@@ -56,8 +54,6 @@ FAIL = "fail"
 UNSUPPORTED = "unsupported"
 OBSERVED_TRUE = "observed-true"
 OBSERVED_FALSE = "observed-false"
-
-SPIN_POINT_BUDGET = 60000  # covers the dim-10 member over GF(3)
 
 
 @dataclass
@@ -151,6 +147,10 @@ def _rows(S):
     return S.basis_strings()
 
 
+def _flag(b):
+    return "true" if b else "false"
+
+
 # ---------------------------------------------------------------------------
 # hard checks: the 2.x family
 # ---------------------------------------------------------------------------
@@ -183,8 +183,6 @@ def check_lemma_2_4_2(m):
     if L.dim < 2:
         return PASS, 0, {"note": "degenerate dimension, statement vacuous"}
     simple = is_simple(L)
-    if simple is TriState.UNSUPPORTED:
-        return UNSUPPORTED, 0, {"reason": "simplicity undecided"}
     hyp = 0
     weak_c_simple = True
     witness = None
@@ -196,13 +194,13 @@ def check_lemma_2_4_2(m):
             weak_c_simple = False
             witness = B
             break
-    if weak_c_simple != (simple is TriState.YES):
+    if weak_c_simple != simple:
         return FAIL, hyp, {
-            "simple": simple.value,
+            "simple": _flag(simple),
             "weak_c_simple": weak_c_simple,
             "witness": None if witness is None else _rows(witness),
         }
-    return PASS, hyp, {"simple": simple.value}
+    return PASS, hyp, {"simple": _flag(simple)}
 
 
 def check_lemma_2_4_3(m):
@@ -351,7 +349,7 @@ def check_lemma_3_5(m):
             if U + C != full:
                 continue
             hyp += 1
-            if min_power_in(L, C, DERIVED) is None:
+            if L.series(DERIVED).min_index_inside(C) is None:
                 return FAIL, hyp, {"U": _rows(U), "C": _rows(C)}
     return PASS, hyp, {}
 
@@ -396,7 +394,7 @@ def check_lemma_4_2(m):
             if B + K != full:
                 continue
             hyp += 1
-            if min_power_in(L, K, LOWER_CENTRAL) is None:
+            if L.series(LOWER_CENTRAL).min_index_inside(K) is None:
                 return FAIL, hyp, {"B": _rows(B), "K": _rows(K), "clause": "power"}
             for A in mins:
                 if not A <= K and not L.product_space(full, A).is_zero():
@@ -464,11 +462,8 @@ def check_theorem_4_5(m):
     holds, pairs, _ = _premise_max_nilp_max_weak_c(L)
     if not holds:
         return PASS, pairs, {"note": "hypothesis fails, statement vacuous"}
-    ss = is_supersolvable(L)
-    if ss is TriState.UNSUPPORTED:
-        return UNSUPPORTED, pairs, {"reason": "supersolvability undecided"}
-    if ss is TriState.NO:
-        return FAIL, pairs, {"supersolvable": ss.value}
+    if not is_supersolvable(L):
+        return FAIL, pairs, {"supersolvable": "false"}
     return PASS, pairs, {}
 
 
@@ -494,13 +489,13 @@ def check_theorem_5_2(m):
     """All one-dimensional subalgebras are weak c-ideals iff L^3 = 0 or
     L splits as abelian ideal + almost abelian ideal."""
     L = m.algebra
-    verdict = classify_one_dim_weak_c(L, cross_check=True)
+    verdict = classify_one_dim_weak_c(L)
     if verdict.agrees is None:
         return UNSUPPORTED, 0, {
             "case": verdict.case,
             "reason": "one-dimensional scan out of budget",
         }
-    hyp = sum(1 for _ in projective_points(L.field, L.dim))
+    hyp = count_subspaces(L.field, L.dim, (1,))
     if not verdict.agrees:
         return FAIL, hyp, verdict.to_json()
     return PASS, hyp, {
@@ -616,9 +611,8 @@ def observe_corollary_4_6(m):
     holds, pairs, _ = _premise_max_nilp_max_weak_c(L)
     if not holds:
         return True, 0, {"note": "hypothesis fails, statement vacuous"}
-    ss = is_supersolvable(L)
-    ok = ss is TriState.YES
-    return ok, pairs, {} if ok else {"supersolvable": ss.value}
+    ok = is_supersolvable(L)
+    return ok, pairs, {} if ok else {"supersolvable": "false"}
 
 
 def observe_corollary_4_7(m):
@@ -629,9 +623,9 @@ def observe_corollary_4_7(m):
     if not holds:
         return True, 0, {"note": "hypothesis fails, statement vacuous"}
     ss = is_supersolvable(L)
-    simple3 = L.dim == 3 and is_simple(L) is TriState.YES
-    ok = (ss is TriState.YES) or simple3
-    return ok, pairs, {} if ok else {"supersolvable": ss.value, "simple3": simple3}
+    simple3 = not ss and L.dim == 3 and is_simple(L)
+    ok = ss or simple3
+    return ok, pairs, {} if ok else {"supersolvable": "false", "simple3": simple3}
 
 
 def observe_example34_minimal(m):
@@ -642,10 +636,10 @@ def observe_example34_minimal(m):
     if "A" not in m.built.subspaces:
         return True, 0, {"note": "not the example-3.4 construction"}
     L = m.algebra
-    mins = minimal_ideals(L, point_budget=SPIN_POINT_BUDGET)
+    mins = minimal_ideals(L)
     A = m.built.subspaces["A"]
     ok = mins == [A]
-    return ok, (L.field.p ** L.dim - 1) // (L.field.p - 1), {
+    return ok, count_subspaces(L.field, L.dim, (1,)), {
         "minimal_ideal_dims": [S.dim for S in mins],
         "unique_and_equals_A": ok,
     }
@@ -690,8 +684,9 @@ ALL_CHECK_IDS = sorted(list(HARD_CHECKS) + list(OBSERVATIONAL_CHECKS))
 
 
 def run_check(check_id, member):
-    """Run one check on one corpus member, mapping budget blowups to
-    unsupported."""
+    """Run one check on one corpus member.  A predicate or search that gives
+    up raises BudgetExceededError or EnumerationUnsupportedError; the cell
+    then reports unsupported, with the bound that stopped it as reason."""
     try:
         if check_id in HARD_CHECKS:
             status, hyp, details = HARD_CHECKS[check_id](member)

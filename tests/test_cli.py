@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import lieideals
-from lieideals.cli import main, parse_document, render_document
+from lieideals.cli import main
+from lieideals.document import parse_document, render_document
 from lieideals.errors import (
     DuplicateBracketError,
     JacobiError,
@@ -144,6 +145,15 @@ def test_parsing_a_large_sparse_table_is_fast():
     assert built.algebra.dim == 300
 
 
+def test_nilpotency_of_a_large_sparse_table_is_fast():
+    # rref drops zero rows before its pivot search: all but two of the
+    # 90,300 basis brackets here are zero
+    L = parse_document("field GF(2)\ndim 300\n[e1,e2] = e3\n").algebra
+    t0 = time.perf_counter()
+    assert L.is_nilpotent()
+    assert time.perf_counter() - t0 < 6.0
+
+
 def test_parse_preset_documents():
     built = parse_document((DATA / "ex34.alg").read_text())
     assert built.algebra.dim == 10
@@ -195,7 +205,7 @@ def test_render_exact_text():
 def test_parse_render_round_trip(name):
     built = parse_document((DATA / name).read_text())
     back = parse_document(render_document(built))
-    assert back.algebra.table_key() == built.algebra.table_key()
+    assert back.algebra.to_json() == built.algebra.to_json()
     assert back.algebra.labels == built.algebra.labels
     assert set(back.subspaces) == set(built.subspaces)
     for key, S in built.subspaces.items():
@@ -298,6 +308,15 @@ def test_check_unsupported_exits_three(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["verdict"] == "unsupported" and "budget" in doc["reason"]
+
+
+def test_check_simple_over_q_names_the_reason(capsys):
+    code, out, _ = run(
+        capsys, "check", str(DATA / "sl2q.alg"), "--predicate", "simple"
+    )
+    doc = json.loads(out)
+    assert code == 3 and doc["verdict"] == "unsupported"
+    assert doc["reason"] == "subspace enumeration unsupported over infinite field Q"
 
 
 def test_check_searches_over_q_reject_non_subalgebras_before_giving_up(
@@ -553,3 +572,6 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "yes"
+    # the package does not import the entry module, so runpy has no
+    # RuntimeWarning to print
+    assert proc.stderr == ""

@@ -34,7 +34,6 @@ from lieideals.ideals import (
     is_c_ideal,
     is_subideal,
     is_weak_c_ideal,
-    min_power_in,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
@@ -437,11 +436,11 @@ def test_complement_mod_core_matches_witness_search(built):
 
 def test_min_power_in_examples():
     L = heis(GF(3))
-    assert min_power_in(L, L.center(), DERIVED) == 2
-    assert min_power_in(L, L.zero_space(), LOWER_CENTRAL) == 3
+    assert L.series(DERIVED).min_index_inside(L.center()) == 2
+    assert L.series(LOWER_CENTRAL).min_index_inside(L.zero_space()) == 3
     N = two_dim_nonabelian(QQ).algebra
-    assert min_power_in(N, N.span([(0, 1)]), LOWER_CENTRAL) == 2
-    assert min_power_in(N, N.zero_space(), LOWER_CENTRAL) is None
+    assert N.series(LOWER_CENTRAL).min_index_inside(N.span([(0, 1)])) == 2
+    assert N.series(LOWER_CENTRAL).min_index_inside(N.zero_space()) is None
     S = sl2(GF(2)).algebra
-    assert min_power_in(S, S.full_space(), DERIVED) == 1
-    assert min_power_in(S, S.zero_space(), DERIVED) is None
+    assert S.series(DERIVED).min_index_inside(S.full_space()) == 1
+    assert S.series(DERIVED).min_index_inside(S.zero_space()) is None

@@ -23,7 +23,6 @@ from lieideals.liecore import LieAlgebra
 from lieideals.linspace import projective_points, unit_vector, vec_add, vec_scale
 from lieideals.structure import (
     OneDimClassification,
-    TriState,
     cartan_subalgebras,
     classify_one_dim_weak_c,
     flags,
@@ -67,37 +66,31 @@ def brute_supersolvable(L):
     return climb(L.zero_space())
 
 
-# -- tri-state discipline ---------------------------------------------------
-
-
-def test_tristate_refuses_truthiness():
-    with pytest.raises(TypeError):
-        bool(TriState.YES)
-    assert TriState.of(True) is TriState.YES
-    assert TriState.of(False) is TriState.NO
-    assert TriState.UNSUPPORTED.value == "unsupported"
+# -- flags: a predicate that gives up reads "unsupported" ------------------
 
 
 def test_flags_known_values():
-    fl = flags(heis(GF(2)))
-    assert fl.nilpotent is TriState.YES
-    assert fl.solvable is TriState.YES
-    assert fl.supersolvable is TriState.YES
-    assert fl.simple is TriState.NO
-    assert fl.almost_abelian is TriState.NO
+    assert flags(heis(GF(2))) == {
+        "nilpotent": "true",
+        "solvable": "true",
+        "supersolvable": "true",
+        "simple": "false",
+        "almost_abelian": "false",
+    }
     fl = flags(two_dim_nonabelian(GF(3)).algebra)
-    assert fl.nilpotent is TriState.NO
-    assert fl.supersolvable is TriState.YES
-    assert fl.almost_abelian is TriState.YES
+    assert fl["nilpotent"] == "false"
+    assert fl["supersolvable"] == "true"
+    assert fl["almost_abelian"] == "true"
     fl = flags(sl2(GF(3)).algebra)
-    assert fl.solvable is TriState.NO
-    assert fl.supersolvable is TriState.NO
-    assert fl.simple is TriState.YES
+    assert fl["solvable"] == "false"
+    assert fl["supersolvable"] == "false"
+    assert fl["simple"] == "true"
     fl = flags(sl2(QQ).algebra)
-    assert fl.simple is TriState.UNSUPPORTED
-    assert fl.supersolvable is TriState.NO
-    doc = fl.to_json()
-    assert doc["simple"] == "unsupported" and doc["solvable"] == "false"
+    assert fl["simple"] == "unsupported" and fl["solvable"] == "false"
+    assert fl["supersolvable"] == "false"
+    # a blown point budget reads the same way
+    fl = flags(sl2(GF(5)).algebra, budget=3)
+    assert fl["simple"] == "unsupported" and fl["supersolvable"] == "false"
 
 
 # -- spinning and minimal ideals --------------------------------------------
@@ -136,7 +129,7 @@ def test_minimal_ideals_limits():
     with pytest.raises(EnumerationUnsupportedError):
         minimal_ideals(heis(QQ))
     with pytest.raises(BudgetExceededError) as exc:
-        minimal_ideals(heis(GF(3)), point_budget=5)
+        minimal_ideals(heis(GF(3)), budget=5)
     assert exc.value.needed == 13 and exc.value.budget == 5
 
 
@@ -224,7 +217,7 @@ def test_minimal_ideals_and_simplicity_match_the_spin_oracle(make):
     L = make()
     mins = spin_oracle(L)
     assert minimal_ideals(L) == mins
-    assert is_simple(L) is TriState.of(L.dim > 1 and mins == [L.full_space()])
+    assert is_simple(L) is (L.dim > 1 and mins == [L.full_space()])
 
 
 def test_example34_minimal_ideal_spins_few_points(monkeypatch):
@@ -241,12 +234,16 @@ def test_example34_minimal_ideal_spins_few_points(monkeypatch):
 
 
 def test_is_simple_known_values():
-    assert is_simple(sl2(GF(3)).algebra) is TriState.YES
-    assert is_simple(sl2(GF(5)).algebra) is TriState.YES
-    assert is_simple(heis(GF(2))) is TriState.NO
-    assert is_simple(abelian(GF(2), 1).algebra) is TriState.NO
-    assert is_simple(sl2(QQ).algebra) is TriState.UNSUPPORTED
-    assert is_simple(sl2(GF(5)).algebra, point_budget=3) is TriState.UNSUPPORTED
+    assert is_simple(sl2(GF(3)).algebra) is True
+    assert is_simple(sl2(GF(5)).algebra) is True
+    assert is_simple(heis(GF(2))) is False
+    assert is_simple(abelian(GF(2), 1).algebra) is False
+    with pytest.raises(EnumerationUnsupportedError):
+        is_simple(sl2(QQ).algebra)
+    # sl2 over GF(5) has 31 lines
+    with pytest.raises(BudgetExceededError) as exc:
+        is_simple(sl2(GF(5)).algebra, budget=3)
+    assert exc.value.needed == 31 and exc.value.budget == 3
 
 
 # -- supersolvability -------------------------------------------------------
@@ -279,31 +276,33 @@ def test_is_simple_known_values():
 )
 def test_supersolvable_matches_ideal_flag_search(make):
     L = make()
-    got = is_supersolvable(L)
-    assert got is not TriState.UNSUPPORTED
-    assert (got is TriState.YES) == brute_supersolvable(L)
+    assert is_supersolvable(L) is brute_supersolvable(L)
 
 
 def test_supersolvable_rational_paths():
-    assert is_supersolvable(almost_abelian(QQ, 3).algebra) is TriState.YES
-    assert is_supersolvable(sl2(QQ).algebra) is TriState.NO
+    assert is_supersolvable(almost_abelian(QQ, 3).algebra) is True
+    assert is_supersolvable(sl2(QQ).algebra) is False
     # ad(x) has characteristic polynomial t^2 - 2 on <a, b>: solvable but
     # no rational eigenline, so the answer is a definitive no
     L = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, 2, 0)})
     assert L.is_solvable() and not L.is_nilpotent()
-    assert is_supersolvable(L) is TriState.NO
+    assert is_supersolvable(L) is False
 
 
 def test_supersolvable_gives_up_on_huge_root_extraction():
     # constant term beyond the divisor cap: root extraction declines
     n = 10**12 + 7
     L = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, n, 0)})
-    assert is_supersolvable(L) is TriState.UNSUPPORTED
+    with pytest.raises(EnumerationUnsupportedError) as exc:
+        is_supersolvable(L)
+    assert str(n) in str(exc.value) and str(10**12) in str(exc.value)
 
 
 def test_supersolvable_budget_guard():
     L = solvable_not_supersolvable(GF(2))
-    assert is_supersolvable(L, budget=3) is TriState.UNSUPPORTED
+    with pytest.raises(BudgetExceededError) as exc:
+        is_supersolvable(L, budget=3)
+    assert exc.value.needed == 7 and exc.value.budget == 3
 
 
 # -- lattice families -------------------------------------------------------
@@ -341,7 +340,7 @@ def test_supersolvable_maximals_have_codimension_one():
         two_dim_nonabelian(GF(2)).algebra,
         almost_abelian(GF(2), 3).algebra,
     ]:
-        assert is_supersolvable(L) is TriState.YES
+        assert is_supersolvable(L) is True
         for M in maximal_subalgebras(L):
             assert M.dim == L.dim - 1
 
@@ -434,13 +433,10 @@ def test_classifier_neither_on_simple_and_on_twisted_solvable():
     assert w.all_one_dim_weak_c is False and w.agrees is True
 
 
-def test_classifier_skips_cross_check_when_asked_or_over_q():
+def test_classifier_skips_cross_check_over_q():
     v = classify_one_dim_weak_c(two_dim_nonabelian(QQ).algebra)
     assert v.case == "case-ii"
     assert v.all_one_dim_weak_c is None and v.agrees is None
-    w = classify_one_dim_weak_c(heis(GF(3)), cross_check=False)
-    assert w.case == "case-i"
-    assert w.all_one_dim_weak_c is None
 
 
 def test_classifier_survives_a_blown_budget():

@@ -6,6 +6,9 @@ both of its clauses genuinely fail on a corpus member, so only the ideal
 form is checked.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from lieideals import verify as V
@@ -18,7 +21,7 @@ from lieideals.corpus import (
     two_dim_nonabelian,
 )
 from lieideals.exactfield import GF, QQ
-from lieideals.ideals import min_power_in, subideal_chain
+from lieideals.ideals import subideal_chain
 from lieideals.liecore import LOWER_CENTRAL, LieAlgebra
 from lieideals.structure import minimal_ideals
 
@@ -60,6 +63,44 @@ def test_run_check_maps_budget_blowups_to_unsupported():
     r = V.run_check("lemma-2.4-1", m)
     assert r.status == V.UNSUPPORTED
     assert "budget" in r.details["reason"]
+
+
+def test_an_undecided_predicate_reports_unsupported_with_its_bound():
+    # GF(2)^20 has 1,048,575 lines, over the default budget of 10^6, so
+    # is_simple gives up before the weak c-simplicity scan starts
+    r = V.run_check("lemma-2.4-2", member("abelian20-gf2", abelian(GF(2), 20)))
+    assert r.status == V.UNSUPPORTED and r.hypotheses == 0
+    assert r.details["reason"] == (
+        "enumeration needs 1048575 subspaces, budget is 1000000"
+    )
+
+
+GIVE_UP_ERRORS = {"BudgetExceededError", "EnumerationUnsupportedError"}
+
+
+def test_only_the_front_ends_catch_the_give_up_errors():
+    # a predicate or search that cannot decide raises; only these functions
+    # turn the raise into "unsupported" (or exit code 3)
+    catchers = set()
+    for path in sorted(Path(V.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.ExceptHandler) or node.type is None:
+                    continue
+                names = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for n in ast.walk(node.type)
+                }
+                if names & GIVE_UP_ERRORS:
+                    catchers.add(f"{path.stem}.{top.name}")
+    assert catchers == {
+        "verify.run_check",
+        "cli.cmd_check",
+        "structure.flags",
+        "structure.structure_report",
+        "structure.classify_one_dim_weak_c",
+    }
 
 
 def test_observational_statuses(monkeypatch):
@@ -192,7 +233,7 @@ def test_subideal_witness_defeats_the_power_statement():
     assert chain is not None and len(chain.terms) == 3
     assert L.restrict(B).algebra.is_abelian()
     assert B + K == L.full_space()
-    assert min_power_in(L, K, LOWER_CENTRAL) is None
+    assert L.series(LOWER_CENTRAL).min_index_inside(K) is None
     y_line = L.span([(0, 0, 1)])
     assert y_line in minimal_ideals(L)
     assert not y_line <= K
