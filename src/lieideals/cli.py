@@ -111,7 +111,7 @@ def cmd_check(args, out=None, err=None):
             with open(args.witness, "r", encoding="utf-8") as fh:
                 witness_doc = json.load(fh)
             payload, code = _check_with_witness(L, S, predicate, witness_doc)
-        except (LieIdealsError, ValueError, KeyError, TypeError) as e:
+        except (LieIdealsError, ValueError, KeyError, TypeError, RecursionError) as e:
             err.write(f"bad witness file: {e}\n")
             return 2
         _emit(payload, out)

@@ -30,6 +30,7 @@ _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _BRACKET_RE = re.compile(r"\[\s*([^\[\],]+?)\s*,\s*([^\[\],]+?)\s*\]\s*=\s*(.*)\Z")
 _SUBSPACE_RE = re.compile(r"subspace\s+(\S+)\s*=\s*span\((.*)\)\s*\Z")
 _CALL_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[(),])")
+MAX_CALL_DEPTH = 100  # preset parsing and evaluation recurse once per level
 
 
 def _strip_comment(line):
@@ -123,23 +124,25 @@ def _parse_call(text, line_no):
         idx += 1
         return tok
 
-    def parse_node():
+    def parse_node(depth):
         tok = take()
         if tok.isdigit():
             return int(tok)
         if not _LABEL_RE.match(tok):
             raise ParseError(f"bad preset token {tok!r}", line_no)
+        if depth == MAX_CALL_DEPTH:
+            raise ParseError(f"preset nesting exceeds {MAX_CALL_DEPTH} calls", line_no)
         take("(")
         args = []
         if peek() != ")":
-            args.append(parse_node())
+            args.append(parse_node(depth + 1))
             while peek() == ",":
                 take(",")
-                args.append(parse_node())
+                args.append(parse_node(depth + 1))
         take(")")
         return (tok, args)
 
-    node = parse_node()
+    node = parse_node(0)
     if idx != len(tokens):
         raise ParseError("trailing text after preset invocation", line_no)
     if isinstance(node, int):

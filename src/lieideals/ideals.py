@@ -12,14 +12,10 @@ from typing import Optional
 from .errors import NotASubalgebraError, NotContainedError
 from .linspace import (
     DEFAULT_BUDGET,
-    QuotientMap,
     Subspace,
+    annihilator,
+    closure,
     enumerate_subspaces,
-    right_kernel,
-    lin_comb,
-    span,
-    transpose,
-    unit_vector,
 )
 
 
@@ -54,31 +50,15 @@ def ideals_of(L, budget=DEFAULT_BUDGET):
 def core(L, B):
     """Largest ideal of L contained in the subalgebra B.
 
-    Descending fixed point: repeatedly shrink B to the set of its vectors x
-    with [L, x] still inside the current stage.
+    A subspace is ad-invariant exactly when its annihilator is invariant
+    under every transposed ad(e_i), so the core is the annihilator of the
+    smallest such subspace that contains the annihilator of B.
     """
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("core is defined for subalgebras only")
-        f = L.field
-        units = [unit_vector(f, L.dim, i) for i in range(L.dim)]
-        cur = B
-        while True:
-            if cur.is_zero():
-                break
-            qmap = QuotientMap(cur)
-            if qmap.dim == 0:
-                break  # cur is all of L, hence an ideal
-            rows = []
-            for u in units:
-                cols = [qmap.project(L.bracket(u, b)) for b in cur.rows]
-                rows.extend(transpose(cols, qmap.dim))
-            coeffs = right_kernel(f, rows, cur.dim)
-            nxt = span(f, L.dim, [lin_comb(f, c, cur.rows, L.dim) for c in coeffs])
-            if nxt == cur:
-                break
-            cur = nxt
-        return cur
+        dual = closure(L.field, L.dim, annihilator(B).rows, L.transposed_ad_images)
+        return annihilator(dual)
 
     return L.memo(("core", B.rows), build)
 
@@ -87,13 +67,7 @@ def ideal_closure(L, B, K):
     """Smallest ideal of the subalgebra K containing B (requires B <= K)."""
     if not B <= K:
         raise NotContainedError("ideal closure needs B contained in K")
-    U = B
-    while True:
-        prods = [L.bracket(k, u) for k in K.rows for u in U.rows]
-        nxt = U + L.span(prods)
-        if nxt == U:
-            return U
-        U = nxt
+    return closure(L.field, L.dim, B.rows, lambda u: [L.bracket(k, u) for k in K.rows])
 
 
 # ---------------------------------------------------------------------------

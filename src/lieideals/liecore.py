@@ -19,6 +19,7 @@ from .exactfield import field_from_name
 from .linspace import (
     Subspace,
     check_enumeration,
+    dot,
     full_subspace,
     lin_comb,
     right_kernel,
@@ -58,6 +59,7 @@ class LieAlgebra:
             if not vec_is_zero(field, v):
                 table[(i, j)] = v
         self._table = table
+        self._zero = zero_vector(field, dim)
         if labels is None:
             labels = tuple(f"e{i+1}" for i in range(dim))
         self.labels = tuple(labels)
@@ -71,13 +73,12 @@ class LieAlgebra:
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a coordinate vector."""
         if i == j:
-            return zero_vector(self.field, self.dim)
+            return self._zero
         if i < j:
-            v = self._table.get((i, j))
-            return v if v is not None else zero_vector(self.field, self.dim)
+            return self._table.get((i, j), self._zero)
         v = self._table.get((j, i))
         if v is None:
-            return zero_vector(self.field, self.dim)
+            return self._zero
         return vec_scale(self.field, -1, v)
 
     def ad_matrix(self, i):
@@ -93,14 +94,28 @@ class LieAlgebra:
         """Bilinear extension of the structure-constant table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise AmbientMismatchError("bracket operands must have length dim")
-        out = [self.field.zero] * self.dim
+        out = None
         for (i, j), v in self._table.items():
             c = x[i] * y[j] - x[j] * y[i]
             if c:
+                if out is None:
+                    out = [self.field.zero] * self.dim
                 for k, a in enumerate(v):
                     if a:
                         out[k] += c * a
-        return tuple(map(self.field.norm, out))
+        return self._zero if out is None else tuple(map(self.field.norm, out))
+
+    def transposed_ad_images(self, y):
+        """The nonzero vectors ad(e_i)^T y.  Entry j of ad(e_i)^T y is y
+        dotted with [e_i, e_j], so only the table entries meeting e_i count."""
+        f = self.field
+        images = {}
+        for (i, j), v in self._table.items():
+            s = dot(f, v, y)
+            if s:
+                images.setdefault(i, [f.zero] * self.dim)[j] = s
+                images.setdefault(j, [f.zero] * self.dim)[i] = f.norm(-s)
+        return [tuple(w) for w in images.values()]
 
     def _check_jacobi(self):
         # a triple that meets no table entry sums to zero, so only the

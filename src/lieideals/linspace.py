@@ -193,6 +193,22 @@ class EchelonBasis:
         return Subspace._trusted(self.field, self.n, tuple(self.rows), tuple(self.pivots))
 
 
+def closure(field, n, seeds, images):
+    """Smallest subspace of F^n that contains ``seeds`` and, with each of
+    its vectors w, every vector of the linear ``images(w)``.  Only vectors
+    that grow the span are mapped, and the loop stops once it is full."""
+    basis = EchelonBasis(field, n)
+    work = list(seeds)
+    while work:
+        w = work.pop()
+        if not basis.add(w):
+            continue
+        if basis.dim == n:
+            break
+        work.extend(images(w))
+    return basis.subspace()
+
+
 # ---------------------------------------------------------------------------
 # Subspace
 # ---------------------------------------------------------------------------
@@ -317,6 +333,11 @@ def zero_subspace(field, ambient):
 def full_subspace(field, ambient):
     rows = tuple(unit_vector(field, ambient, i) for i in range(ambient))
     return Subspace._trusted(field, ambient, rows, tuple(range(ambient)))
+
+
+def annihilator(S):
+    """``{x : s . x = 0 for every s in S}`` under the standard dot product."""
+    return Subspace(S.field, S.ambient, right_kernel(S.field, S.rows, S.ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +470,10 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
                 rows = [row[:] for row in template]
                 for (r, c), v in zip(free, values):
                     rows[r][c] = v
-                batch.append(tuple(tuple(row) for row in rows))
+                batch.append((tuple(tuple(row) for row in rows), pivots))
         batch.sort()
-        for rows in batch:
-            yield Subspace._trusted(field, n, rows, tuple(pivots_of(rows, field)))
-
-
-def pivots_of(rows, field):
-    pivots = []
-    for row in rows:
-        pivots.append(next(j for j, a in enumerate(row) if a))
-    return pivots
+        for rows, pivots in batch:
+            yield Subspace._trusted(field, n, rows, pivots)
 
 
 def projective_points(field, n):

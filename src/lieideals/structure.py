@@ -24,6 +24,7 @@ from .linspace import (
     EchelonBasis,
     Subspace,
     check_enumeration,
+    closure,
     dot,
     lin_comb,
     mat_vec,
@@ -43,25 +44,11 @@ from .linspace import (
 # spinning, minimal ideals and simplicity
 # ---------------------------------------------------------------------------
 
-def _closure(f, n, mats, v):
-    """Smallest subspace of F^n containing v and mapped into itself by every
-    matrix in ``mats``."""
-    basis = EchelonBasis(f, n)
-    work = [v]
-    while work:
-        w = work.pop()
-        if not basis.add(w):
-            continue
-        if basis.dim == n:
-            break
-        for rows in mats:
-            work.append(mat_vec(f, rows, w))
-    return basis.subspace()
-
-
 def spin(L, v):
     """Smallest ideal of L containing v (adjoint-invariant closure)."""
-    return _closure(L.field, L.dim, [L.ad_matrix(i) for i in range(L.dim)], v)
+    f = L.field
+    ads = [L.ad_matrix(i) for i in range(L.dim)]
+    return closure(f, L.dim, [v], lambda w: [mat_vec(f, A, w) for A in ads])
 
 
 def _points(S):
@@ -106,7 +93,8 @@ def _norton(L, V):
     if any(spin(L, v).dim < d for v in _points(kernel)):
         return False
     w = right_kernel(f, transpose(theta, d), d)[0]
-    return _closure(f, d, [transpose(Ri, d) for Ri in R], w).dim == d
+    Rt = [transpose(Ri, d) for Ri in R]
+    return closure(f, d, [w], lambda y: [mat_vec(f, A, y) for A in Rt]).dim == d
 
 
 def minimal_ideals(L, budget=DEFAULT_BUDGET):

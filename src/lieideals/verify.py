@@ -339,6 +339,7 @@ def check_lemma_3_5(m):
     L = m.algebra
     full = L.full_space()
     subs = subalgebras(L)
+    derived = L.series(DERIVED)
     hyp = 0
     for C in subs:
         if subideal_chain(L, C) is None:
@@ -349,7 +350,7 @@ def check_lemma_3_5(m):
             if U + C != full:
                 continue
             hyp += 1
-            if L.series(DERIVED).min_index_inside(C) is None:
+            if derived.min_index_inside(C) is None:
                 return FAIL, hyp, {"U": _rows(U), "C": _rows(C)}
     return PASS, hyp, {}
 
@@ -386,6 +387,7 @@ def check_lemma_4_2(m):
     full = L.full_space()
     subs = subalgebras(L)
     mins = minimal_ideals(L)
+    lower = L.series(LOWER_CENTRAL)
     hyp = 0
     for K in ideals_of(L):
         for B in subs:
@@ -394,7 +396,7 @@ def check_lemma_4_2(m):
             if B + K != full:
                 continue
             hyp += 1
-            if L.series(LOWER_CENTRAL).min_index_inside(K) is None:
+            if lower.min_index_inside(K) is None:
                 return FAIL, hyp, {"B": _rows(B), "K": _rows(K), "clause": "power"}
             for A in mins:
                 if not A <= K and not L.product_space(full, A).is_zero():

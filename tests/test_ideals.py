@@ -6,15 +6,19 @@ does a plain recursive search over one-step extensions.
 """
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from lieideals.corpus import (
+    BuiltAlgebra,
     almost_abelian,
     heisenberg,
     sl2,
     two_dim_nonabelian,
 )
+from lieideals.document import parse_document
 from lieideals.errors import (
     BudgetExceededError,
     EnumerationUnsupportedError,
@@ -40,13 +44,14 @@ from lieideals.ideals import (
     verify_c,
     verify_weak_c,
 )
-from lieideals.liecore import DERIVED, LOWER_CENTRAL
+from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.structure import (
     cartan_subalgebras,
     frattini,
     maximal_subalgebras,
     nilpotent_subalgebras,
 )
+from lieideals.verify import default_corpus
 
 
 def heis(f):
@@ -115,6 +120,30 @@ def test_core_known_values():
     )
     assert core(L, L.full_space()).is_full()
     assert core(L, L.zero_space()).is_zero()
+    # over Q the core runs through exact rational annihilators
+    N = two_dim_nonabelian(QQ).algebra
+    assert core(N, N.span([(1, 0)])).is_zero()
+    assert core(N, N.span([(0, 1)])) == N.span([(0, 1)])
+    assert core(N, N.span([(1, Fraction(-1, 2))])).is_zero()
+    assert core(N, N.full_space()).is_full()
+    S = sl2(QQ).algebra  # simple: every proper subalgebra has zero core
+    borel = S.span([(1, 0, 0), (0, 1, 0)])
+    assert S.is_subalgebra(borel)
+    assert core(S, borel).is_zero()
+    assert core(S, S.span([(0, 1, 0)])).is_zero()
+    assert core(S, S.span([(0, 0, 1)])).is_zero()
+    assert core(S, S.full_space()).is_full()
+
+
+def test_core_of_a_large_sparse_table_is_fast():
+    # the dual closure starts from 299 annihilator vectors; each image step
+    # reads the one table entry instead of 300 dense ad matrices
+    L = parse_document("field GF(2)\ndim 300\n[e1,e2] = e3\n").algebra
+    e = lambda i: tuple(int(j == i) for j in range(300))
+    t0 = time.perf_counter()
+    assert core(L, L.span([e(0)])).is_zero()
+    assert core(L, L.span([e(2), e(3)])) == L.span([e(2), e(3)])
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_core_requires_a_subalgebra():
@@ -126,12 +155,23 @@ def test_core_requires_a_subalgebra():
 @pytest.mark.parametrize(
     "built",
     [
-        heisenberg(GF(2)),
-        two_dim_nonabelian(GF(3)),
-        almost_abelian(GF(2), 3),
-        sl2(GF(3)),
+        pytest.param(heisenberg(GF(2)), id="heis2"),
+        pytest.param(two_dim_nonabelian(GF(3)), id="nonab3"),
+        pytest.param(almost_abelian(GF(2), 3), id="almost2"),
+        pytest.param(sl2(GF(3)), id="sl2-3"),
+        # x between y1 and y2, so e_x meets table entries on both sides and
+        # the sign of each transposed-ad entry shows
+        pytest.param(
+            BuiltAlgebra(LieAlgebra(GF(3), 3, {(0, 1): (2, 0, 0), (1, 2): (0, 0, 1)})),
+            id="almost3-x-middle",
+        ),
+    ]
+    + [
+        # every small corpus member, over GF(2), GF(3) and GF(5)
+        pytest.param(m.built, id=m.member_id)
+        for m in default_corpus()
+        if m.algebra.dim <= 5
     ],
-    ids=["heis2", "nonab3", "almost2", "sl2-3"],
 )
 def test_core_matches_enumerated_ideal_sum(built):
     L = built.algebra
@@ -142,6 +182,34 @@ def test_core_matches_enumerated_ideal_sum(built):
 
 
 # -- ideal closure and subideal chains --------------------------------------
+
+
+def product_space_closure(L, B, K):
+    """Smallest ideal of K containing B, as the fixed point of
+    U -> U + [K, U] computed one whole product space at a time."""
+    U = B
+    while True:
+        nxt = U + L.product_space(K, U)
+        if nxt == U:
+            return U
+        U = nxt
+
+
+@pytest.mark.parametrize(
+    "built",
+    [heisenberg(GF(3)), sl2(GF(3)), almost_abelian(GF(2), 3)],
+    ids=["heis3", "sl2-3", "almost2"],
+)
+def test_ideal_closure_matches_product_space_fixed_point(built):
+    L = built.algebra
+    subs = subalgebras(L)
+    pairs = 0
+    for K in subs:
+        for B in subs:
+            if B <= K:
+                assert ideal_closure(L, B, K) == product_space_closure(L, B, K)
+                pairs += 1
+    assert pairs > 2 * len(subs)
 
 
 def test_ideal_closure_heisenberg():
