@@ -39,21 +39,16 @@ from .liecore import (
 from .ideals import (
     CIdealCertificate,
     SubidealChain,
-    Verdict,
     WeakCIdealCertificate,
     core,
     find_c_witness,
     find_weak_c_witness,
     ideal_closure,
     ideals_of,
-    is_c_ideal,
-    is_subideal,
     is_weak_c_ideal,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
-    verify_c,
-    verify_weak_c,
 )
 from .structure import (
     OneDimClassification,

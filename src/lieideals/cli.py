@@ -65,29 +65,28 @@ def _load_built(path):
         return parse_document(fh.read())
 
 
+# predicate -> (witness reader, attribute naming its subspace, mismatch message)
+_WITNESS_READERS = {
+    "subideal": (SubidealChain, "bottom", "chain does not start at the named subspace"),
+    "weak-c-ideal": (
+        WeakCIdealCertificate, "B", "certificate is not about the named subspace"
+    ),
+    "c-ideal": (CIdealCertificate, "B", "certificate is not about the named subspace"),
+}
+
+
 def _check_with_witness(L, S, predicate, witness_doc):
-    f, n = L.field, L.dim
-    if predicate == "subideal":
-        chain = SubidealChain.from_json(f, n, witness_doc)
-        problems = chain.problems(L)
-        if not problems and chain.bottom != S:
-            problems = ["chain does not start at the named subspace"]
-    elif predicate == "weak-c-ideal":
-        cert = WeakCIdealCertificate.from_json(f, n, witness_doc)
-        problems = cert.problems(L)
-        if not problems and cert.B != S:
-            problems = ["certificate is not about the named subspace"]
-    elif predicate == "c-ideal":
-        cert = CIdealCertificate.from_json(f, n, witness_doc)
-        problems = cert.problems(L)
-        if not problems and cert.B != S:
-            problems = ["certificate is not about the named subspace"]
-    else:
+    if predicate not in _WITNESS_READERS:
         raise LieIdealsError(f"--witness does not apply to predicate {predicate}")
+    reader, attr, mismatch = _WITNESS_READERS[predicate]
+    witness = reader.from_json(L.field, L.dim, witness_doc)
+    problems = witness.problems(L)
+    if not problems and getattr(witness, attr) != S:
+        problems = [mismatch]
     out = {"predicate": predicate, "verdict": _verdict(not problems)}
     if problems:
         out["problems"] = problems
-    return out, 0
+    return out
 
 
 def cmd_check(args, out=None, err=None):
@@ -110,12 +109,12 @@ def cmd_check(args, out=None, err=None):
         try:
             with open(args.witness, "r", encoding="utf-8") as fh:
                 witness_doc = json.load(fh)
-            payload, code = _check_with_witness(L, S, predicate, witness_doc)
+            payload = _check_with_witness(L, S, predicate, witness_doc)
         except (LieIdealsError, ValueError, KeyError, TypeError, RecursionError) as e:
             err.write(f"bad witness file: {e}\n")
             return 2
         _emit(payload, out)
-        return code
+        return 0
 
     target = L
     if S is not None and predicate in ("nilpotent", "solvable", "supersolvable", "simple"):

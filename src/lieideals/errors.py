@@ -1,5 +1,7 @@
 """Exception classes shared across the package."""
 
+import math
+
 
 class LieIdealsError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,12 +20,24 @@ class EnumerationUnsupportedError(LieIdealsError):
     infinite field, or a rational root search past its divisor cap."""
 
 
+def _count_text(n):
+    """n in decimal, or as the bound 10^k <= n < 10^(k+1) when n is past
+    Python's integer-to-string limit."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(math.log10(n))  # a float, so k may be off by one
+        k += (10 ** (k + 1) <= n) - (10**k > n)
+        return f"at least 10^{k}"
+
+
 class BudgetExceededError(LieIdealsError):
     """An enumeration would emit more subspaces than the configured budget."""
 
     def __init__(self, needed, budget):
         super().__init__(
-            f"enumeration needs {needed} subspaces, budget is {budget}"
+            f"enumeration needs {_count_text(needed)} subspaces, "
+            f"budget is {_count_text(budget)}"
         )
         self.needed = needed
         self.budget = budget

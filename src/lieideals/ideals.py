@@ -7,7 +7,6 @@ scratch, so soundness never rests on the search machinery.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NotASubalgebraError, NotContainedError
 from .linspace import (
@@ -103,9 +102,6 @@ class SubidealChain:
                 out.append(f"term {idx} is not an ideal of term {idx + 1}")
         return out
 
-    def is_valid(self, L):
-        return not self.problems(L)
-
     def to_json(self):
         return [t.basis_strings() for t in self.terms]
 
@@ -144,13 +140,24 @@ def subideal_chain(L, B):
     return L.memo(("chain", B.rows), build)
 
 
-def is_subideal(L, B):
-    return subideal_chain(L, B) is not None
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
+
+def _split_problems(L, B, C, core_B):
+    """The conditions both witness kinds share: L = B + C, and B ∩ C inside
+    core_B, an ideal of L contained in B."""
+    out = []
+    if B + C != L.full_space():
+        out.append("B + C is not the whole algebra")
+    if not core_B <= B:
+        out.append("claimed core is not contained in B")
+    if not L.is_ideal(core_B):
+        out.append("claimed core is not an ideal of L")
+    if not (B & C) <= core_B:
+        out.append("B ∩ C is not inside the claimed core")
+    return out
+
 
 @dataclass(frozen=True)
 class WeakCIdealCertificate:
@@ -171,18 +178,7 @@ class WeakCIdealCertificate:
         out.extend(f"chain: {p}" for p in self.chain.problems(L))
         if self.chain.terms and self.chain.bottom != self.C:
             out.append("chain does not start at C")
-        if self.B + self.C != L.full_space():
-            out.append("B + C is not the whole algebra")
-        if not self.core_B <= self.B:
-            out.append("claimed core is not contained in B")
-        if not L.is_ideal(self.core_B):
-            out.append("claimed core is not an ideal of L")
-        if not (self.B & self.C) <= self.core_B:
-            out.append("B ∩ C is not inside the claimed core")
-        return out
-
-    def is_valid(self, L):
-        return not self.problems(L)
+        return out + _split_problems(L, self.B, self.C, self.core_B)
 
     def to_json(self):
         return {
@@ -219,18 +215,7 @@ class CIdealCertificate:
             out.append("B is not a subalgebra")
         if not L.is_subalgebra(self.C) or not L.is_ideal(self.C):
             out.append("C is not an ideal of L")
-        if self.B + self.C != L.full_space():
-            out.append("B + C is not the whole algebra")
-        if not self.core_B <= self.B:
-            out.append("claimed core is not contained in B")
-        if not L.is_ideal(self.core_B):
-            out.append("claimed core is not an ideal of L")
-        if not (self.B & self.C) <= self.core_B:
-            out.append("B ∩ C is not inside the claimed core")
-        return out
-
-    def is_valid(self, L):
-        return not self.problems(L)
+        return out + _split_problems(L, self.B, self.C, self.core_B)
 
     def to_weak(self, L):
         """Every ideal is a subideal, so a c-ideal witness upgrades."""
@@ -252,71 +237,39 @@ class CIdealCertificate:
         return cls(B=get("subalgebra"), C=get("witness"), core_B=get("core"))
 
 
-@dataclass
-class Verdict:
-    """Outcome of a certificate check: a certificate, or the first failed
-    condition by name."""
-
-    certificate: Optional[object]
-    failed: Optional[str]
-
-    def __bool__(self):
-        return self.certificate is not None
-
-
-def verify_weak_c(L, B, C):
-    """Check the weak c-ideal conditions for a given candidate witness C."""
-    if not L.is_subalgebra(B) or not L.is_subalgebra(C):
-        raise NotASubalgebraError("verify_weak_c needs two subalgebras")
-    chain = subideal_chain(L, C)
-    if chain is None:
-        return Verdict(None, "witness-is-not-a-subideal")
-    if B + C != L.full_space():
-        return Verdict(None, "sum-is-not-the-whole-algebra")
-    core_B = core(L, B)
-    if not (B & C) <= core_B:
-        return Verdict(None, "intersection-not-inside-core")
-    return Verdict(WeakCIdealCertificate(B, C, chain, core_B), None)
-
-
-def verify_c(L, B, C):
-    """Check the c-ideal conditions for a given candidate ideal C."""
-    if not L.is_subalgebra(B) or not L.is_subalgebra(C):
-        raise NotASubalgebraError("verify_c needs two subalgebras")
-    if not L.is_ideal(C):
-        return Verdict(None, "witness-is-not-an-ideal")
-    if B + C != L.full_space():
-        return Verdict(None, "sum-is-not-the-whole-algebra")
-    core_B = core(L, B)
-    if not (B & C) <= core_B:
-        return Verdict(None, "intersection-not-inside-core")
-    return Verdict(CIdealCertificate(B, C, core_B), None)
-
-
 # ---------------------------------------------------------------------------
 # exhaustive witness searches (finite prime fields)
 # ---------------------------------------------------------------------------
 
+def _first_witness(L, B, candidates, certify):
+    """Certificate for the first C in candidates with L = B + C and B ∩ C
+    inside the core of B that certify(C, core_B) accepts, or None."""
+    full = L.full_space()
+    core_B = core(L, B)
+    for C in candidates:
+        if B.dim + C.dim < L.dim:
+            continue
+        if B + C != full:
+            continue
+        if not (B & C) <= core_B:
+            continue
+        cert = certify(C, core_B)
+        if cert is not None:
+            return cert
+    return None
+
+
 def find_weak_c_witness(L, B, budget=DEFAULT_BUDGET):
     """First valid weak c-ideal witness for B in canonical lattice order,
     or None when no subalgebra works (exhaustive)."""
+    def certify(C, core_B):
+        chain = subideal_chain(L, C)
+        return None if chain is None else WeakCIdealCertificate(B, C, chain, core_B)
+
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("weak c-ideal search needs a subalgebra")
-        full = L.full_space()
-        core_B = core(L, B)
-        for C in subalgebras(L, budget):
-            if B.dim + C.dim < L.dim:
-                continue
-            if B + C != full:
-                continue
-            if not (B & C) <= core_B:
-                continue
-            chain = subideal_chain(L, C)
-            if chain is None:
-                continue
-            return WeakCIdealCertificate(B, C, chain, core_B)
-        return None
+        return _first_witness(L, B, subalgebras(L, budget), certify)
 
     return L.memo(("weakc", B.rows), build, budget)
 
@@ -326,27 +279,15 @@ def find_c_witness(L, B, budget=DEFAULT_BUDGET):
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("c-ideal search needs a subalgebra")
-        full = L.full_space()
-        core_B = core(L, B)
-        for C in ideals_of(L, budget):
-            if B.dim + C.dim < L.dim:
-                continue
-            if B + C != full:
-                continue
-            if not (B & C) <= core_B:
-                continue
-            return CIdealCertificate(B, C, core_B)
-        return None
+        return _first_witness(
+            L, B, ideals_of(L, budget), lambda C, core_B: CIdealCertificate(B, C, core_B)
+        )
 
     return L.memo(("cideal", B.rows), build, budget)
 
 
 def is_weak_c_ideal(L, B, budget=DEFAULT_BUDGET):
     return find_weak_c_witness(L, B, budget) is not None
-
-
-def is_c_ideal(L, B, budget=DEFAULT_BUDGET):
-    return find_c_witness(L, B, budget) is not None
 
 
 def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):

@@ -25,6 +25,7 @@ from .corpus import (
 from .errors import BudgetExceededError, EnumerationUnsupportedError, LieIdealsError
 from .exactfield import GF
 from .ideals import (
+    CIdealCertificate,
     core,
     find_c_witness,
     find_weak_c_witness,
@@ -33,7 +34,6 @@ from .ideals import (
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
-    verify_c,
 )
 from .liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from .linspace import count_subspaces, projective_points
@@ -162,9 +162,9 @@ def check_lemma_2_4_1(m):
     hyp = 0
     for I in ideals_of(L):
         hyp += 1
-        v = verify_c(L, I, L.full_space())
-        if not v:
-            return FAIL, hyp, {"ideal": _rows(I), "reason": v.failed}
+        bad = CIdealCertificate(I, L.full_space(), core(L, I)).problems(L)
+        if bad:
+            return FAIL, hyp, {"ideal": _rows(I), "problems": bad}
     for B in subalgebras(L):
         cert = find_c_witness(L, B)
         if cert is None:

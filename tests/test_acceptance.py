@@ -117,7 +117,7 @@ def test_criterion_2_core_is_the_largest_enumerated_ideal():
 # criterion 3: subideal decision against brute force
 # ---------------------------------------------------------------------------
 
-def _brute_is_subideal(L, B):
+def _brute_subideal(L, B):
     """Search all strictly increasing subalgebra chains from B to L with
     each term an ideal in the next.  Independent of the ideal-closure
     series used by subideal_chain."""
@@ -147,7 +147,7 @@ def test_criterion_3_subideal_decision_matches_brute_force():
         L = m.algebra
         for B in subalgebras(L):
             chain = subideal_chain(L, B)
-            assert (chain is not None) == _brute_is_subideal(L, B), (
+            assert (chain is not None) == _brute_subideal(L, B), (
                 m.member_id,
                 B.basis_strings(),
             )

@@ -311,6 +311,27 @@ def test_check_unsupported_exits_three(capsys):
     assert doc["verdict"] == "unsupported" and "budget" in doc["reason"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--predicate", "c-ideal", "--subspace", "W"],
+        ["check", "--predicate", "weak-c-ideal", "--subspace", "W"],
+        ["lattice"],
+    ],
+    ids=["c-ideal", "weak-c-ideal", "lattice"],
+)
+def test_budget_reason_for_a_count_too_long_to_print(tmp_path, capsys, argv):
+    # GF(2)^300 has a subspace count of 6,775 digits, past Python's default
+    # integer-to-string limit
+    alg = tmp_path / "d300.alg"
+    alg.write_text("field GF(2)\ndim 300\n[e1,e2] = e3\nsubspace W = span(e1)\n")
+    code, out, err = run(capsys, argv[0], str(alg), *argv[1:])
+    assert code == 3 and "Traceback" not in err
+    doc = json.loads(out)
+    reason = doc["reason"] if "reason" in doc else doc["lattice"]["unsupported"]
+    assert reason == "enumeration needs at least 10^6774 subspaces, budget is 1000000"
+
+
 def test_check_simple_over_q_names_the_reason(capsys):
     code, out, _ = run(
         capsys, "check", str(DATA / "sl2q.alg"), "--predicate", "simple"
@@ -428,6 +449,27 @@ def test_witness_round_trip_and_tamper(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "no"
     assert "chain: chain is empty" in doc["problems"]
+
+
+def test_tampered_c_ideal_witness_lists_every_problem(tmp_path, capsys):
+    _, out, _ = run(
+        capsys, "check", heis_path(), "--predicate", "c-ideal",
+        "--subspace", "W",
+    )
+    cert = json.loads(out)["certificate"]
+    wfile = tmp_path / "cert.json"
+    wfile.write_text(json.dumps(dict(cert, witness=[["0", "1", "0"]])))
+    code, out, _ = run(
+        capsys, "check", heis_path(), "--predicate", "c-ideal",
+        "--subspace", "W", "--witness", str(wfile),
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "no"
+    assert doc["problems"] == [
+        "C is not an ideal of L",
+        "B + C is not the whole algebra",
+    ]
 
 
 def test_witness_about_the_wrong_subspace(tmp_path, capsys):

@@ -13,7 +13,9 @@ import pytest
 
 from lieideals.corpus import (
     BuiltAlgebra,
+    abelian,
     almost_abelian,
+    direct_sum,
     heisenberg,
     sl2,
     two_dim_nonabelian,
@@ -35,14 +37,10 @@ from lieideals.ideals import (
     find_weak_c_witness,
     ideal_closure,
     ideals_of,
-    is_c_ideal,
-    is_subideal,
     is_weak_c_ideal,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
-    verify_c,
-    verify_weak_c,
 )
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.structure import (
@@ -231,15 +229,14 @@ def test_subideal_chain_literal_heisenberg():
     assert chain is not None
     assert chain.terms == (e1, L.span([(1, 0, 0), (0, 0, 1)]), L.full_space())
     assert chain.bottom == e1
-    assert chain.is_valid(L)
+    assert chain.problems(L) == []
     assert subideal_chain(L, e1) is chain  # cached
 
 
 def test_subideal_chain_none_for_self_normalizing_line():
     N = two_dim_nonabelian(QQ).algebra
     assert subideal_chain(N, N.span([(1, 0)])) is None
-    assert not is_subideal(N, N.span([(1, 0)]))
-    assert is_subideal(N, N.span([(0, 1)]))
+    assert subideal_chain(N, N.span([(0, 1)])) is not None
 
 
 def test_subideal_chain_trivial_ends():
@@ -338,47 +335,57 @@ def test_chain_json_round_trip():
     doc = json.loads(json.dumps(chain.to_json()))
     back = SubidealChain.from_json(GF(2), 3, doc)
     assert back == chain
-    assert back.is_valid(L)
+    assert back.problems(L) == []
 
 
 # -- verification against supplied witnesses --------------------------------
 
 
-def test_verify_weak_c_failure_names():
+def test_weak_certificate_problems_for_supplied_witnesses():
     L = heis(QQ)
     e1 = L.span([(1, 0, 0)])
     N = two_dim_nonabelian(QQ).algebra
     x_line = N.span([(1, 0)])
-    assert verify_weak_c(N, x_line, x_line).failed == "witness-is-not-a-subideal"
-    assert (
-        verify_weak_c(L, e1, L.span([(1, 0, 0), (0, 0, 1)])).failed
-        == "sum-is-not-the-whole-algebra"
+    assert subideal_chain(N, x_line) is None  # a witness that is not a subideal
+
+    def weak(C):
+        return WeakCIdealCertificate(e1, C, subideal_chain(L, C), core(L, e1))
+
+    assert weak(L.span([(1, 0, 0), (0, 0, 1)])).problems(L) == [
+        "B + C is not the whole algebra",
+        "B ∩ C is not inside the claimed core",
+    ]
+    assert weak(L.full_space()).problems(L) == [
+        "B ∩ C is not inside the claimed core"
+    ]
+    plane = L.span([(1, 0, 0), (0, 1, 0)])  # not a subalgebra
+    bad_c = WeakCIdealCertificate(
+        e1, plane, SubidealChain((plane, L.full_space())), core(L, e1)
     )
-    v = verify_weak_c(L, e1, L.full_space())
-    assert v.failed == "intersection-not-inside-core"
-    assert not v
-    with pytest.raises(NotASubalgebraError):
-        verify_weak_c(L, e1, L.span([(1, 0, 0), (0, 1, 0)]))
+    assert bad_c.problems(L) == [
+        "C is not a subalgebra",
+        "chain: term 0 is not a subalgebra",
+        "chain: term 0 is not an ideal of term 1",
+        "B + C is not the whole algebra",
+        "B ∩ C is not inside the claimed core",
+    ]
 
 
-def test_verify_c_accepts_and_rejects():
+def test_c_certificate_problems_accept_and_reject():
     L = heis(QQ)
     e2 = L.span([(0, 1, 0)])
-    good = verify_c(L, e2, L.span([(1, 0, 0), (0, 0, 1)]))
-    assert good
-    assert good.failed is None
-    cert = good.certificate
-    assert isinstance(cert, CIdealCertificate)
+    cert = CIdealCertificate(e2, L.span([(1, 0, 0), (0, 0, 1)]), core(L, e2))
     assert cert.problems(L) == []
     assert cert.core_B.is_zero()
-    bad = verify_c(L, L.span([(0, 1, 0), (0, 0, 1)]), L.span([(1, 0, 0)]))
-    assert bad.failed == "witness-is-not-an-ideal"
+    B = L.span([(0, 1, 0), (0, 0, 1)])
+    bad = CIdealCertificate(B, L.span([(1, 0, 0)]), core(L, B))
+    assert bad.problems(L) == ["C is not an ideal of L"]
 
 
 def test_c_certificate_upgrades_to_weak():
     L = heis(QQ)
     e2 = L.span([(0, 1, 0)])
-    cert = verify_c(L, e2, L.span([(1, 0, 0), (0, 0, 1)])).certificate
+    cert = CIdealCertificate(e2, L.span([(1, 0, 0), (0, 0, 1)]), core(L, e2))
     weak = cert.to_weak(L)
     assert isinstance(weak, WeakCIdealCertificate)
     assert weak.problems(L) == []
@@ -388,20 +395,27 @@ def test_c_certificate_upgrades_to_weak():
 def test_certificate_problem_strings_after_tampering():
     L = almost_abelian(GF(2), 3).algebra
     x_line = L.span([(1, 0, 0)])
+    y1 = L.span([(0, 1, 0)])
     cert = find_weak_c_witness(L, x_line)
     assert cert is not None and cert.problems(L) == []
-    wrong_core = WeakCIdealCertificate(
-        cert.B, cert.C, cert.chain, L.full_space()
-    )
-    assert "claimed core is not contained in B" in wrong_core.problems(L)
-    y1 = L.span([(0, 1, 0)])
+    wrong_core = WeakCIdealCertificate(cert.B, cert.C, cert.chain, L.full_space())
+    assert wrong_core.problems(L) == ["claimed core is not contained in B"]
     not_ideal_core = WeakCIdealCertificate(cert.B, cert.C, cert.chain, cert.B)
-    probs = not_ideal_core.problems(L)
-    assert "claimed core is not an ideal of L" in probs
+    assert not_ideal_core.problems(L) == ["claimed core is not an ideal of L"]
     short = WeakCIdealCertificate(cert.B, y1, cert.chain, cert.core_B)
-    probs = short.problems(L)
-    assert "chain does not start at C" in probs
-    assert "B + C is not the whole algebra" in probs
+    assert short.problems(L) == [
+        "chain does not start at C",
+        "B + C is not the whole algebra",
+    ]
+
+    cert = find_c_witness(L, x_line)
+    assert cert is not None and cert.problems(L) == []
+    wrong_core = CIdealCertificate(cert.B, cert.C, L.full_space())
+    assert wrong_core.problems(L) == ["claimed core is not contained in B"]
+    not_ideal_core = CIdealCertificate(cert.B, cert.C, cert.B)
+    assert not_ideal_core.problems(L) == ["claimed core is not an ideal of L"]
+    short = CIdealCertificate(cert.B, y1, cert.core_B)
+    assert short.problems(L) == ["B + C is not the whole algebra"]
 
 
 def test_weak_certificate_json_round_trip():
@@ -421,7 +435,7 @@ def test_c_certificate_json_round_trip():
     doc = json.loads(json.dumps(cert.to_json()))
     assert doc["kind"] == "c-ideal"
     back = CIdealCertificate.from_json(GF(2), 3, doc)
-    assert back == cert and back.is_valid(L)
+    assert back == cert and back.problems(L) == []
 
 
 # -- exhaustive searches ----------------------------------------------------
@@ -441,6 +455,40 @@ def test_search_is_canonical_and_deterministic():
     assert outs[0] == outs[1]
 
 
+def brute_is_ideal(L, S):
+    return all(L.bracket(x, s) in S for x in L.full_space().rows for s in S.rows)
+
+
+@pytest.mark.parametrize(
+    "built",
+    [
+        heisenberg(GF(3)),
+        almost_abelian(GF(2), 3),
+        sl2(GF(3)),
+        BuiltAlgebra(
+            direct_sum(abelian(GF(2), 1).algebra, two_dim_nonabelian(GF(2)).algebra)
+        ),
+    ],
+    ids=["heis3", "almost2", "sl2-3", "ab1+nonab2"],
+)
+def test_searches_return_the_first_witness_by_definition(built):
+    # each search returns the first C in subalgebras(L) order that meets the
+    # definition, with the core and the subideal test done by brute force
+    L = built.algebra
+    full = L.full_space()
+    subs = subalgebras(L)
+    memo = {}
+    for B in subs:
+        core_B = brute_core(L, B)
+        splits = [C for C in subs if B + C == full and (B & C) <= core_B]
+        weak = next((C for C in splits if brute_subideal(L, C, memo)), None)
+        c = next((C for C in splits if brute_is_ideal(L, C)), None)
+        found = find_weak_c_witness(L, B)
+        assert (None if found is None else found.C) == weak, B.basis_strings()
+        found = find_c_witness(L, B)
+        assert (None if found is None else found.C) == c, B.basis_strings()
+
+
 def test_full_subalgebra_gets_the_zero_witness():
     L = heis(GF(2))
     cert = find_weak_c_witness(L, L.full_space())
@@ -458,7 +506,7 @@ def test_simple_algebra_admits_only_trivial_weak_c_ideals():
 def test_every_ideal_is_a_c_ideal_and_weak_c_ideal():
     L = heis(GF(2))
     for I in ideals_of(L):
-        assert is_c_ideal(L, I)
+        assert find_c_witness(L, I) is not None
         assert is_weak_c_ideal(L, I)
 
 
@@ -496,7 +544,9 @@ def test_complement_mod_core_matches_witness_search(built):
             assert core_B <= K
             assert B + K == L.full_space()
             assert (B & K) <= core_B
-            assert verify_weak_c(L, B, K)
+            chain = subideal_chain(L, K)
+            assert chain is not None
+            assert WeakCIdealCertificate(B, K, chain, core_B).problems(L) == []
 
 
 # -- series containment -----------------------------------------------------
