@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from .errors import NotASubalgebraError, NotContainedError
 from .linspace import (
     DEFAULT_BUDGET,
+    MASK_LIMIT,
     Subspace,
     annihilator,
     closure,
+    element_mask,
     enumerate_subspaces,
+    full_subspace,
 )
 
 
@@ -22,16 +25,89 @@ from .linspace import (
 # lattice primitives (shared, memoized on the algebra)
 # ---------------------------------------------------------------------------
 
-def subalgebras(L, budget=DEFAULT_BUDGET):
-    """All bracket-closed subspaces of L, in canonical enumeration order."""
-    def build():
+class Lattice:
+    """The subalgebras of one algebra in canonical enumeration order, with
+    the containment and split tests that the witness searches and the
+    lattice checks run over them.
+
+    Over GF(q) with q^n <= MASK_LIMIT a test reads element masks
+    (:func:`~lieideals.linspace.element_mask`), each made the first time a
+    test needs it: S <= T is ``m_S & ~m_T == 0`` and dim(B ∩ C) is log_q
+    of the popcount of ``m_B & m_C``, so no test row-reduces.  Above that
+    limit the same tests run on the Subspace operators.
+    """
+
+    def __init__(self, field, n, subalgebras):
+        self.subalgebras = subalgebras
+        self._q = field.characteristic()
+        self._n = n
+        self._masks = {} if self._q**n <= MASK_LIMIT else None
+
+    def _mask(self, S):
+        m = self._masks.get(S.rows)
+        if m is None:
+            m = self._masks[S.rows] = element_mask(S)
+        return m
+
+    def containing(self, B):
+        """The subalgebras that contain the subspace B, in order."""
+        if self._masks is None:
+            return [S for S in self.subalgebras if B <= S]
+        m_B = self._mask(B)
+        return [S for S in self.subalgebras if not m_B & ~self._mask(S)]
+
+    def inside(self, K):
+        """The subalgebras contained in the subspace K, in order."""
+        if self._masks is None:
+            return [S for S in self.subalgebras if S <= K]
+        outside_K = ~self._mask(K)
+        return [S for S in self.subalgebras if not self._mask(S) & outside_K]
+
+    def maximal(self, members):
+        """The members that lie properly inside no other member, in order."""
+        if self._masks is None:
+            return [S for S in members
+                    if not any(S.dim < T.dim and S <= T for T in members)]
+        masked = [(T.dim, self._mask(T)) for T in members]
         return [
+            S for S, (k, m_S) in zip(members, masked)
+            if not any(k < d and not m_S & ~m for d, m in masked)
+        ]
+
+    def splits(self, B, floor):
+        """The test ``C -> L = B + C and B ∩ C <= floor``; with floor = B it
+        is just L = B + C."""
+        if self._masks is None:
+            full = full_subspace(B.field, self._n)
+            return lambda C: B + C == full and (B & C) <= floor
+        q, shift = self._q, B.dim - self._n
+        m_B = self._mask(B)
+        outside_floor = m_B & ~self._mask(floor)
+
+        def test(C):
+            m_C = self._mask(C)
+            # B + C = L exactly when dim(B ∩ C) = dim B + dim C - n
+            return ((m_B & m_C).bit_count() == q ** (C.dim + shift)
+                    and not m_C & outside_floor)
+
+        return test
+
+
+def lattice(L, budget=DEFAULT_BUDGET):
+    """The :class:`Lattice` of L's subalgebras."""
+    def build():
+        return Lattice(L.field, L.dim, [
             S
             for S in enumerate_subspaces(L.field, L.dim, budget=budget)
             if L.is_subalgebra(S)
-        ]
+        ])
 
-    return L.memo("subalgebras", build, budget)
+    return L.memo("lattice", build, budget)
+
+
+def subalgebras(L, budget=DEFAULT_BUDGET):
+    """All bracket-closed subspaces of L, in canonical enumeration order."""
+    return lattice(L, budget).subalgebras
 
 
 def ideals_of(L, budget=DEFAULT_BUDGET):
@@ -241,17 +317,14 @@ class CIdealCertificate:
 # exhaustive witness searches (finite prime fields)
 # ---------------------------------------------------------------------------
 
-def _first_witness(L, B, candidates, certify):
+def _first_witness(L, B, lat, candidates, certify):
     """Certificate for the first C in candidates with L = B + C and B ∩ C
     inside the core of B that certify(C, core_B) accepts, or None."""
-    full = L.full_space()
     core_B = core(L, B)
+    splits = lat.splits(B, core_B)
+    least = L.dim - B.dim
     for C in candidates:
-        if B.dim + C.dim < L.dim:
-            continue
-        if B + C != full:
-            continue
-        if not (B & C) <= core_B:
+        if C.dim < least or not splits(C):
             continue
         cert = certify(C, core_B)
         if cert is not None:
@@ -269,7 +342,8 @@ def find_weak_c_witness(L, B, budget=DEFAULT_BUDGET):
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("weak c-ideal search needs a subalgebra")
-        return _first_witness(L, B, subalgebras(L, budget), certify)
+        lat = lattice(L, budget)
+        return _first_witness(L, B, lat, lat.subalgebras, certify)
 
     return L.memo(("weakc", B.rows), build, budget)
 
@@ -280,7 +354,8 @@ def find_c_witness(L, B, budget=DEFAULT_BUDGET):
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("c-ideal search needs a subalgebra")
         return _first_witness(
-            L, B, ideals_of(L, budget), lambda C, core_B: CIdealCertificate(B, C, core_B)
+            L, B, lattice(L, budget), ideals_of(L, budget),
+            lambda C, core_B: CIdealCertificate(B, C, core_B),
         )
 
     return L.memo(("cideal", B.rows), build, budget)
@@ -298,14 +373,12 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
     core_B = core(L, B)
     Lq, qmap = L.quotient(core_B)
     Bq = qmap.project_subspace(B)
-    full_q = Lq.full_space()
-    zero_q = Lq.zero_space()
-    for Kq in subalgebras(Lq, budget):
+    lat = lattice(Lq, budget)
+    complements = lat.splits(Bq, Lq.zero_space())
+    for Kq in lat.subalgebras:
         if Bq.dim + Kq.dim != Lq.dim:
             continue  # complements meet trivially, so dimensions add up
-        if Bq + Kq != full_q:
-            continue
-        if (Bq & Kq) != zero_q:
+        if not complements(Kq):
             continue
         if subideal_chain(Lq, Kq) is None:
             continue

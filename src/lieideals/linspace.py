@@ -274,9 +274,6 @@ class Subspace:
             return False
         return all(v in other for v in self.rows)
 
-    def __lt__(self, other):
-        return self.dim < other.dim and self <= other
-
     def __add__(self, other):
         self._check_compatible(other)
         return Subspace(self.field, self.ambient, self.rows + other.rows)
@@ -319,6 +316,32 @@ class Subspace:
     def from_basis_strings(cls, field, ambient, rows):
         vectors = [tuple(field.parse(a) for a in row) for row in rows]
         return cls(field, ambient, vectors)
+
+
+MASK_LIMIT = 2**12  # the most bits an element mask may have: q^n <= this
+
+
+def element_mask(S):
+    """The elements of S, a subspace of GF(q)^n, as one int: bit c is set
+    when the vector whose base-q digits are c (coordinate i is the digit of
+    q^i) lies in S.  The mask of S ∩ T is mask_S & mask_T, S <= T exactly
+    when mask_S & ~mask_T is 0, and a mask has q^dim(S) bits set."""
+    field = S.field
+    q = field.characteristic()
+    codes = [0] * q**S.dim
+    weight = 1
+    for j in range(S.ambient):
+        # digit j of every element, the elements in one order for all j
+        digits = [0]
+        for row in S.rows:
+            c = row[j]
+            if c:
+                digits = [field.norm(d + a * c) for a in field.elements() for d in digits]
+            else:
+                digits *= q
+        codes = [x + d * weight for x, d in zip(codes, digits)]
+        weight *= q
+    return sum(1 << c for c in codes)
 
 
 def span(field, ambient, vectors):
@@ -407,9 +430,22 @@ def gaussian_binomial(n, k, q):
 
 
 def count_subspaces(field, n, dims=None):
+    """Number of subspaces of GF(q)^n whose dimension is in ``dims`` (every
+    dimension by default).  The Gaussian binomials come from the ratio
+    recurrence G(n, k) = G(n, k-1) (q^(n-k+1) - 1) / (q^k - 1): one
+    multiplication and one exact division per term."""
     q = field.characteristic()
-    ks = range(n + 1) if dims is None else dims
-    return sum(gaussian_binomial(n, k, q) for k in ks)
+    wanted = range(n + 1) if dims is None else set(dims)
+    total = 0
+    g, top, bottom = 1, q ** (n + 1), 1
+    for k in range(min(n, max(wanted, default=-1)) + 1):
+        if k:
+            top //= q
+            bottom *= q
+            g = g * (top - 1) // (bottom - 1)
+        if k in wanted:
+            total += g
+    return total
 
 
 def _normalize_dims(n, dim_filter):

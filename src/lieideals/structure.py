@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import BudgetExceededError, EnumerationUnsupportedError
 from .exactfield import PrimeField
-from .ideals import core, find_weak_c_witness, subalgebras
+from .ideals import core, find_weak_c_witness, lattice, subalgebras
 from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
@@ -116,7 +116,9 @@ def minimal_ideals(L, budget=DEFAULT_BUDGET):
             found.add(V)
         else:
             spins = {spin(L, v) for v in _points(V)}
-            found.update(S for S in spins if not any(T < S for T in spins))
+            found.update(
+                S for S in spins if not any(T.dim < S.dim and T <= S for T in spins)
+            )
     return sorted(found, key=lambda S: S.sort_key())
 
 
@@ -292,18 +294,10 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
 # lattice-derived families
 # ---------------------------------------------------------------------------
 
-def _maximal_members(members):
-    out = []
-    for S in members:
-        if not any(S.dim < T.dim and S < T for T in members):
-            out.append(S)
-    return out
-
-
 def maximal_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
-        proper = [S for S in subalgebras(L, budget) if S.dim < L.dim]
-        return _maximal_members(proper)
+        lat = lattice(L, budget)
+        return lat.maximal([S for S in lat.subalgebras if S.dim < L.dim])
 
     return L.memo("maximal_subalgebras", build, budget)
 
@@ -332,7 +326,7 @@ def nilpotent_subalgebras(L, budget=DEFAULT_BUDGET):
 
 def maximal_nilpotent_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
-        return _maximal_members(nilpotent_subalgebras(L, budget))
+        return lattice(L, budget).maximal(nilpotent_subalgebras(L, budget))
 
     return L.memo("maximal_nilpotent_subalgebras", build, budget)
 

@@ -31,6 +31,7 @@ from .ideals import (
     find_weak_c_witness,
     ideals_of,
     is_weak_c_ideal,
+    lattice,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
@@ -207,14 +208,12 @@ def check_lemma_2_4_3(m):
     """A weak c-ideal of L is a weak c-ideal of every intermediate
     subalgebra."""
     L = m.algebra
-    subs = subalgebras(L)
+    lat = lattice(L)
     hyp = 0
-    for B in subs:
+    for B in lat.subalgebras:
         if not is_weak_c_ideal(L, B):
             continue
-        for K in subs:
-            if not B <= K:
-                continue
+        for K in lat.containing(B):
             hyp += 1
             view = L.restrict(K)
             Bv = view.restrict_subspace(B)
@@ -227,12 +226,11 @@ def check_lemma_2_4_4(m):
     """For an ideal I inside B: B is a weak c-ideal of L iff B/I is one of
     L/I."""
     L = m.algebra
+    lat = lattice(L)
     hyp = 0
     for I in ideals_of(L):
         Lq, qmap = L.quotient(I)
-        for B in subalgebras(L):
-            if not I <= B:
-                continue
+        for B in lat.containing(I):
             hyp += 1
             below = is_weak_c_ideal(L, B)
             Bq = qmap.project_subspace(B)
@@ -251,16 +249,15 @@ def check_proposition_2_5(m):
     """B <= F(C) and B a weak c-ideal force B an ideal inside phi(L)."""
     L = m.algebra
     phi_L = frattini(L)[1]
+    lat = lattice(L)
     hyp = 0
-    for C in subalgebras(L):
+    for C in lat.subalgebras:
         view = L.restrict(C)
         FC = view.algebra.full_space()
         for Mv in maximal_subalgebras(view.algebra):
             FC = FC & Mv
         FC = view.unrestrict_subspace(FC)
-        for B in subalgebras(L):
-            if not B <= FC:
-                continue
+        for B in lat.inside(FC):
             if not is_weak_c_ideal(L, B):
                 continue
             hyp += 1
@@ -337,17 +334,15 @@ def check_lemma_3_5(m):
     """L = U + C with U solvable and C a subideal puts some derived power
     of L inside C."""
     L = m.algebra
-    full = L.full_space()
-    subs = subalgebras(L)
+    lat = lattice(L)
     derived = L.series(DERIVED)
     hyp = 0
-    for C in subs:
+    for C in lat.subalgebras:
         if subideal_chain(L, C) is None:
             continue
-        for U in subs:
-            if not _sub_is_solvable(L, U):
-                continue
-            if U + C != full:
+        sums_to_L = lat.splits(C, C)
+        for U in lat.subalgebras:
+            if not sums_to_L(U) or not _sub_is_solvable(L, U):
                 continue
             hyp += 1
             if derived.min_index_inside(C) is None:
@@ -385,15 +380,14 @@ def check_lemma_4_2(m):
     """
     L = m.algebra
     full = L.full_space()
-    subs = subalgebras(L)
+    lat = lattice(L)
     mins = minimal_ideals(L)
     lower = L.series(LOWER_CENTRAL)
     hyp = 0
     for K in ideals_of(L):
-        for B in subs:
-            if not sub_is_nilpotent(L, B):
-                continue
-            if B + K != full:
+        sums_to_L = lat.splits(K, K)
+        for B in lat.subalgebras:
+            if not sums_to_L(B) or not sub_is_nilpotent(L, B):
                 continue
             hyp += 1
             if lower.min_index_inside(K) is None:

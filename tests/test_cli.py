@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import lieideals
+from lieideals import linspace
 from lieideals.cli import main
 from lieideals.document import parse_document, render_document
 from lieideals.errors import (
@@ -330,6 +331,18 @@ def test_budget_reason_for_a_count_too_long_to_print(tmp_path, capsys, argv):
     doc = json.loads(out)
     reason = doc["reason"] if "reason" in doc else doc["lattice"]["unsupported"]
     assert reason == "enumeration needs at least 10^6774 subspaces, budget is 1000000"
+
+
+def test_first_budget_refusal_on_a_large_algebra_is_fast(tmp_path, capsys):
+    # the budget gate sums the Gaussian binomials of GF(2)^300 by their
+    # ratio recurrence; rebuilding each binomial took about 0.7 s
+    alg = tmp_path / "d300.alg"
+    alg.write_text("field GF(2)\ndim 300\n[e1,e2] = e3\nsubspace W = span(e1)\n")
+    linspace._subspace_total.cache_clear()
+    t0 = time.perf_counter()
+    code, _, _ = run(capsys, "check", str(alg), "--predicate", "c-ideal", "--subspace", "W")
+    assert time.perf_counter() - t0 < 0.2
+    assert code == 3
 
 
 def test_check_simple_over_q_names_the_reason(capsys):

@@ -38,11 +38,13 @@ from lieideals.ideals import (
     ideal_closure,
     ideals_of,
     is_weak_c_ideal,
+    lattice,
     subalgebras,
     subideal_chain,
     subideal_complement_mod_core,
 )
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
+from lieideals.linspace import MASK_LIMIT, element_mask
 from lieideals.structure import (
     cartan_subalgebras,
     frattini,
@@ -74,7 +76,9 @@ def brute_subideal(L, S, memo=None):
     if S.is_full():
         return True
     ok = any(
-        S < T and L.product_space(T, S) <= S and brute_subideal(L, T, memo)
+        S.dim < T.dim and S <= T
+        and L.product_space(T, S) <= S
+        and brute_subideal(L, T, memo)
         for T in subalgebras(L)
     )
     memo[S.rows] = ok
@@ -468,8 +472,10 @@ def brute_is_ideal(L, S):
         BuiltAlgebra(
             direct_sum(abelian(GF(2), 1).algebra, two_dim_nonabelian(GF(2)).algebra)
         ),
+        # 67^2 > MASK_LIMIT: the lattice tests run on the Subspace operators
+        two_dim_nonabelian(GF(67)),
     ],
-    ids=["heis3", "almost2", "sl2-3", "ab1+nonab2"],
+    ids=["heis3", "almost2", "sl2-3", "ab1+nonab2", "nonab2-67"],
 )
 def test_searches_return_the_first_witness_by_definition(built):
     # each search returns the first C in subalgebras(L) order that meets the
@@ -562,3 +568,50 @@ def test_min_power_in_examples():
     S = sl2(GF(2)).algebra
     assert S.series(DERIVED).min_index_inside(S.full_space()) == 1
     assert S.series(DERIVED).min_index_inside(S.zero_space()) is None
+
+
+# -- the lattice index: mask tests against the Subspace operators -----------
+
+
+def _mask_members():
+    small = [
+        pytest.param(m.built, id=m.member_id)
+        for m in default_corpus()
+        if m.built.algebra.dim <= 4
+    ]
+    big = direct_sum(heisenberg(GF(2)).algebra, two_dim_nonabelian(GF(2)).algebra)
+    return small + [pytest.param(BuiltAlgebra(big), id="heis+nonab2-gf2")]
+
+
+@pytest.mark.parametrize("built", _mask_members())
+def test_lattice_mask_tests_match_the_subspace_operators(built):
+    L = built.algebra
+    q, n = L.field.characteristic(), L.dim
+    assert q**n <= MASK_LIMIT
+    lat = lattice(L)
+    subs = lat.subalgebras
+    full = L.full_space()
+    masks = [element_mask(S) for S in subs]
+    for B, m_B in zip(subs, masks):
+        core_B = core(L, B)
+        outside_core = ~element_mask(core_B)
+        splits = lat.splits(B, core_B)
+        for C, m_C in zip(subs, masks):
+            spans = B + C == full
+            meet_in_core = (B & C) <= core_B
+            assert ((m_B & m_C).bit_count() == q ** (B.dim + C.dim - n)) == spans
+            assert (not m_B & m_C & outside_core) == meet_in_core
+            assert (not m_B & ~m_C) == (B <= C)
+            assert splits(C) == (spans and meet_in_core)
+        assert lat.containing(B) == [C for C in subs if B <= C]
+        assert lat.inside(B) == [C for C in subs if C <= B]
+    proper = subs[:-1]
+    assert lat.maximal(proper) == [
+        S for S in proper if not any(S.dim < T.dim and S <= T for T in proper)
+    ]
+
+
+def test_lattice_masks_stop_at_the_gate():
+    # 61^2 <= MASK_LIMIT < 67^2
+    assert lattice(two_dim_nonabelian(GF(61)).algebra)._masks is not None
+    assert lattice(two_dim_nonabelian(GF(67)).algebra)._masks is None

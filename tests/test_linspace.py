@@ -21,6 +21,7 @@ from lieideals.linspace import (
     QuotientMap,
     Subspace,
     count_subspaces,
+    element_mask,
     enumerate_subspaces,
     full_subspace,
     gaussian_binomial,
@@ -196,14 +197,31 @@ def test_modular_law_exhaustive_gf2_dim3():
                 assert A & (B + C) == B + (A & C)
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 2)])
+def test_element_mask_marks_exactly_the_elements(q, n):
+    # bit c stands for the vector whose base-q digits are c, the digit of
+    # q^i being coordinate i
+    f = GF(q)
+    vectors = [tuple(reversed(v)) for v in all_vectors(f, n)]
+    for S in enumerate_subspaces(f, n):
+        mask = element_mask(S)
+        assert [c for c, v in enumerate(vectors) if mask >> c & 1] == [
+            c for c, v in enumerate(vectors) if v in S
+        ]
+        assert mask.bit_count() == q**S.dim
+
+
 def test_subspace_contains_and_strict_order():
+    # Subspace defines only <=; a strict test is <= with a smaller dimension
     f = GF(2)
     Z = zero_subspace(f, 3)
     F3 = full_subspace(f, 3)
     line = span(f, 3, [(1, 0, 0)])
-    assert Z < line < F3
-    assert not (line < line)
+    assert Z <= line <= F3
+    assert not F3 <= line and not line <= Z
     assert line <= line
+    with pytest.raises(TypeError):
+        line < F3
     assert Z.is_zero() and F3.is_full()
 
 

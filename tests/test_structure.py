@@ -61,7 +61,7 @@ def brute_supersolvable(L):
     def climb(U):
         if U.dim == L.dim:
             return True
-        return any(U < I and climb(I) for I in by_dim.get(U.dim + 1, []))
+        return any(U <= I and climb(I) for I in by_dim.get(U.dim + 1, []))
 
     return climb(L.zero_space())
 
@@ -136,7 +136,7 @@ def test_minimal_ideals_limits():
 def spin_oracle(L):
     """Minimal ideals as the minimal spins of every projective point of L."""
     spins = {spin(L, v) for v in projective_points(L.field, L.dim)}
-    mins = [S for S in spins if not any(T < S for T in spins)]
+    mins = [S for S in spins if not any(T.dim < S.dim and T <= S for T in spins)]
     return sorted(mins, key=lambda S: S.sort_key())
 
 
