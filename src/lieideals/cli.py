@@ -16,7 +16,6 @@ from .errors import (
     BudgetExceededError,
     EnumerationUnsupportedError,
     LieIdealsError,
-    ParseError,
 )
 from .ideals import (
     CIdealCertificate,
@@ -116,12 +115,9 @@ def cmd_check(args, out=None, err=None):
         _emit(payload, out)
         return 0
 
-    target = L
-    if S is not None and predicate in ("nilpotent", "solvable", "supersolvable", "simple"):
-        if not L.is_subalgebra(S):
-            err.write("named subspace is not a subalgebra\n")
-            return 2
-        target = L.restrict(S).algebra
+    if S is not None and predicate not in _NEEDS_SUBSPACE and not L.is_subalgebra(S):
+        err.write("named subspace is not a subalgebra\n")
+        return 2
 
     try:
         if predicate == "ideal":
@@ -144,17 +140,17 @@ def cmd_check(args, out=None, err=None):
         elif predicate == "core":
             payload = {"predicate": predicate, "core": core(L, S).basis_strings()}
         elif predicate == "nilpotent":
-            payload = {"predicate": predicate, "verdict": _verdict(target.is_nilpotent())}
+            payload = {"predicate": predicate, "verdict": _verdict(L.is_nilpotent(S))}
         elif predicate == "solvable":
-            payload = {"predicate": predicate, "verdict": _verdict(target.is_solvable())}
-        elif predicate == "supersolvable":
-            flag = is_supersolvable(target, budget=args.budget)
-            payload = {"predicate": predicate, "verdict": _verdict(flag)}
-        elif predicate == "simple":
-            flag = is_simple(target, budget=args.budget)
-            payload = {"predicate": predicate, "verdict": _verdict(flag)}
+            payload = {"predicate": predicate, "verdict": _verdict(L.is_solvable(S))}
         else:
-            raise AssertionError(predicate)
+            # supersolvable and simple search the subalgebra as an algebra
+            decide = is_supersolvable if predicate == "supersolvable" else is_simple
+            target = L if S is None else L.restrict(S).algebra
+            payload = {
+                "predicate": predicate,
+                "verdict": _verdict(decide(target, budget=args.budget)),
+            }
     except (BudgetExceededError, EnumerationUnsupportedError) as e:
         _emit({"predicate": predicate, "verdict": "unsupported", "reason": str(e)}, out)
         return 3
@@ -237,13 +233,10 @@ def main(argv=None):
         return 0 if e.code in (0, None) else 2
     try:
         return args.fn(args)
-    except ParseError as e:
-        sys.stderr.write(str(e) + "\n")
+    except UnicodeDecodeError as e:
+        sys.stderr.write(f"input is not UTF-8: {e.reason} at byte {e.start}\n")
         return 2
-    except OSError as e:
-        sys.stderr.write(str(e) + "\n")
-        return 2
-    except LieIdealsError as e:
+    except (OSError, LieIdealsError) as e:
         sys.stderr.write(str(e) + "\n")
         return 2
 

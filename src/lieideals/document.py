@@ -210,7 +210,7 @@ def parse_document(text):
             raise ParseError(
                 "preset documents cannot also declare dim, basis or brackets", no
             )
-        call = _parse_call(line.split(None, 1)[1], no)
+        call = _parse_call(line[len("preset"):], no)
         if f is None:
             if call[0] == "example34" and call[1] and isinstance(call[1][0], int):
                 f = GF(call[1][0])

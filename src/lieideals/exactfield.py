@@ -45,10 +45,11 @@ class PrimeField(Field):
     """GF(p) for a prime p <= 251.  Elements are ints in ``0..p-1``."""
 
     def __init__(self, p: int):
+        # the cap comes first: trial division of a huge literal would not end
+        if isinstance(p, int) and p > MAX_PRIME:
+            raise LieIdealsError(f"modulus {p} exceeds supported cap {MAX_PRIME}")
         if not isinstance(p, int) or not is_prime(p):
             raise LieIdealsError(f"modulus must be prime, got {p!r}")
-        if p > MAX_PRIME:
-            raise LieIdealsError(f"modulus {p} exceeds supported cap {MAX_PRIME}")
         self.p = p
         self.zero = 0
         self.one = 1 % p

@@ -74,6 +74,11 @@ class Lattice:
             if not any(k < d and not m_S & ~m for d, m in masked)
         ]
 
+    def maximal_below(self, K):
+        """The maximal proper subalgebras of the subalgebra K, in order: the
+        maximal members of the index strictly inside K."""
+        return self.maximal([S for S in self.inside(K) if S.dim < K.dim])
+
     def splits(self, B, floor):
         """The test ``C -> L = B + C and B ∩ C <= floor``; with floor = B it
         is just L = B + C."""

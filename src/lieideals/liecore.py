@@ -159,18 +159,22 @@ class LieAlgebra:
     def is_ideal(self, S):
         return self.product_space(self.full_space(), S) <= S
 
-    def series(self, kind):
-        """Derived or lower-central series, stopping at stabilization."""
+    def series(self, kind, S=None):
+        """Derived or lower-central series of the subalgebra S (default: the
+        whole algebra), in the coordinates of L, stopping at stabilization."""
         if kind not in (DERIVED, LOWER_CENTRAL):
             raise ValueError(f"unknown series kind {kind!r}")
-        L = self.full_space()
-        terms = [L]
+        if S is None:
+            S = self.full_space()
+        elif not self.is_subalgebra(S):
+            raise NotASubalgebraError("series of a subspace that is not bracket-closed")
+        terms = [S]
         while True:
             cur = terms[-1]
             if kind == DERIVED:
                 nxt = self.product_space(cur, cur)
             else:
-                nxt = self.product_space(L, cur)
+                nxt = self.product_space(S, cur)
             if nxt == cur:
                 if not cur.is_zero():
                     terms.append(nxt)
@@ -180,11 +184,15 @@ class LieAlgebra:
                 break
         return SeriesReport(kind, terms, terms[-1].is_zero())
 
-    def is_solvable(self):
-        return self.memo("solvable", lambda: self.series(DERIVED).reaches_zero)
+    def is_solvable(self, S=None):
+        """Whether the subalgebra S (default: L) is solvable."""
+        key = ("solvable", None if S is None else S.rows)
+        return self.memo(key, lambda: self.series(DERIVED, S).reaches_zero)
 
-    def is_nilpotent(self):
-        return self.memo("nilpotent", lambda: self.series(LOWER_CENTRAL).reaches_zero)
+    def is_nilpotent(self, S=None):
+        """Whether the subalgebra S (default: L) is nilpotent."""
+        key = ("nilpotent", None if S is None else S.rows)
+        return self.memo(key, lambda: self.series(LOWER_CENTRAL, S).reaches_zero)
 
     def is_abelian(self):
         return not self._table
@@ -250,7 +258,10 @@ class LieAlgebra:
         return quot, qmap
 
     def restrict(self, K):
-        """View a bracket-closed subspace as a Lie algebra in its own right."""
+        """View a bracket-closed subspace as a Lie algebra in its own right,
+        for a search that needs K as an algebra.  Questions about K that L
+        can answer in its own coordinates (``series``, ``is_solvable``,
+        ``is_nilpotent``, ``ideals.Lattice.maximal_below``) need no view."""
         def build():
             if not self.is_subalgebra(K):
                 raise NotASubalgebraError("restriction target is not bracket-closed")
@@ -357,7 +368,3 @@ class SubalgebraView:
     def restrict_subspace(self, U):
         S = self.space
         return Subspace(S.field, S.dim, [self.to_sub(v) for v in U.rows])
-
-    def unrestrict_subspace(self, W):
-        S = self.space
-        return Subspace(S.field, S.ambient, [self.from_sub(w) for w in W.rows])

@@ -36,7 +36,6 @@ from .linspace import (
     transpose,
     unit_vector,
     vec_add,
-    vec_scale,
 )
 
 
@@ -142,25 +141,6 @@ def is_simple(L, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # supersolvability
 # ---------------------------------------------------------------------------
-
-def _line_is_ideal(L, v):
-    # [e_i, v] must be a multiple of v for every basis vector
-    f = L.field
-    lead = next(j for j, a in enumerate(v) if a)
-    for i in range(L.dim):
-        w = mat_vec(f, L.ad_matrix(i), v)
-        c = f.norm(w[lead] * f.inv(v[lead]))
-        if w != vec_scale(f, c, v):
-            return False
-    return True
-
-
-def _find_line_ideal_finite(L):
-    for v in projective_points(L.field, L.dim):
-        if _line_is_ideal(L, v):
-            return L.span([v])
-    return None
-
 
 def _char_poly(f, rows):
     """Characteristic polynomial coefficients c_0..c_n (monic), exact.
@@ -273,7 +253,9 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
 
     Greedy recursion on any one-dimensional ideal is complete because
     supersolvability passes to quotients and lifts back along them.  Over
-    GF(p) the line scan is gated by the lines of L; over Q the eigenvector
+    GF(p) the line is a one-dimensional minimal ideal: every minimal ideal M
+    of a supersolvable L is a line, since for the least i with M ∩ L_i != 0
+    in a flag of ideals, M embeds in L_i/L_{i-1}.  Over Q the eigenvector
     search raises when its root extraction gives up.
     """
     if L.dim == 0 or L.is_nilpotent():
@@ -281,8 +263,7 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
     if not L.is_solvable():
         return False
     if isinstance(L.field, PrimeField):
-        check_enumeration(L.field, L.dim, budget, (1,))
-        line = _find_line_ideal_finite(L)
+        line = next((M for M in minimal_ideals(L, budget) if M.dim == 1), None)
     else:
         line = _find_line_ideal_rational(L)
     if line is None:
@@ -296,8 +277,7 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
 
 def maximal_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
-        lat = lattice(L, budget)
-        return lat.maximal([S for S in lat.subalgebras if S.dim < L.dim])
+        return lattice(L, budget).maximal_below(L.full_space())
 
     return L.memo("maximal_subalgebras", build, budget)
 
@@ -313,13 +293,9 @@ def frattini(L, budget=DEFAULT_BUDGET):
     return L.memo("frattini", build, budget)
 
 
-def sub_is_nilpotent(L, S):
-    return L.restrict(S).algebra.is_nilpotent()
-
-
 def nilpotent_subalgebras(L, budget=DEFAULT_BUDGET):
     def build():
-        return [S for S in subalgebras(L, budget) if sub_is_nilpotent(L, S)]
+        return [S for S in subalgebras(L, budget) if L.is_nilpotent(S)]
 
     return L.memo("nilpotent_subalgebras", build, budget)
 
@@ -370,7 +346,7 @@ def almost_abelian_part(L):
     der = L.product_space(L.full_space(), L.full_space())
     if L.dim != der.dim + 1:
         return None
-    if not L.restrict(der).algebra.is_abelian():
+    if not L.product_space(der, der).is_zero():
         return None
     if der.dim == 0:
         return unit_vector(L.field, L.dim, 0)
@@ -418,7 +394,7 @@ def _case_ii_split(L):
     der = L.product_space(full, full)
     if der.dim == 0:
         return None  # B would be one-dimensional with B^2 = L^2 = 0: case i
-    if not L.restrict(der).algebra.is_abelian():
+    if not L.product_space(der, der).is_zero():
         return None
     x0 = _ad_identity_solution(L, der)
     if x0 is None:

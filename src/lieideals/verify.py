@@ -47,7 +47,6 @@ from .structure import (
     maximal_nilpotent_subalgebras,
     maximal_subalgebras,
     minimal_ideals,
-    sub_is_nilpotent,
 )
 
 PASS = "pass"
@@ -110,19 +109,12 @@ def try_member(member_id, builder):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _sub_is_solvable(L, S):
-    return L.restrict(S).algebra.is_solvable()
-
-
 def _max_subs_of_max_nilp(L):
-    """(C, M) pairs: C a maximal nilpotent subalgebra, M maximal in C,
-    both in ambient coordinates."""
-    out = []
-    for C in maximal_nilpotent_subalgebras(L):
-        view = L.restrict(C)
-        for Mv in maximal_subalgebras(view.algebra):
-            out.append((C, view.unrestrict_subspace(Mv)))
-    return out
+    """(C, M) pairs: C a maximal nilpotent subalgebra, M maximal in C."""
+    lat = lattice(L)
+    return [
+        (C, M) for C in maximal_nilpotent_subalgebras(L) for M in lat.maximal_below(C)
+    ]
 
 
 def _premise_max_nilp_max_weak_c(L):
@@ -137,11 +129,7 @@ def _premise_max_nilp_max_weak_c(L):
 
 
 def _minimal_abelian_ideals(L):
-    out = []
-    for A in minimal_ideals(L):
-        if L.restrict(A).algebra.is_abelian():
-            out.append(A)
-    return out
+    return [A for A in minimal_ideals(L) if L.product_space(A, A).is_zero()]
 
 
 def _rows(S):
@@ -252,11 +240,9 @@ def check_proposition_2_5(m):
     lat = lattice(L)
     hyp = 0
     for C in lat.subalgebras:
-        view = L.restrict(C)
-        FC = view.algebra.full_space()
-        for Mv in maximal_subalgebras(view.algebra):
-            FC = FC & Mv
-        FC = view.unrestrict_subspace(FC)
+        FC = C
+        for M in lat.maximal_below(C):
+            FC = FC & M
         for B in lat.inside(FC):
             if not is_weak_c_ideal(L, B):
                 continue
@@ -306,7 +292,7 @@ def check_theorem_3_2_forward(m):
     maxes = maximal_subalgebras(L)
     hyp = 0
     for B in ideals_of(L):
-        if not _sub_is_solvable(L, B):
+        if not L.is_solvable(B):
             continue
         for M in maxes:
             if B <= M:
@@ -342,7 +328,7 @@ def check_lemma_3_5(m):
             continue
         sums_to_L = lat.splits(C, C)
         for U in lat.subalgebras:
-            if not sums_to_L(U) or not _sub_is_solvable(L, U):
+            if not sums_to_L(U) or not L.is_solvable(U):
                 continue
             hyp += 1
             if derived.min_index_inside(C) is None:
@@ -387,7 +373,7 @@ def check_lemma_4_2(m):
     for K in ideals_of(L):
         sums_to_L = lat.splits(K, K)
         for B in lat.subalgebras:
-            if not sums_to_L(B) or not sub_is_nilpotent(L, B):
+            if not sums_to_L(B) or not L.is_nilpotent(B):
                 continue
             hyp += 1
             if lower.min_index_inside(K) is None:
@@ -547,7 +533,7 @@ def observe_theorem_3_2(m):
     hyp = 0
     for B in ideals_of(L):
         hyp += 1
-        lhs = _sub_is_solvable(L, B)
+        lhs = L.is_solvable(B)
         rhs = all(is_weak_c_ideal(L, M) for M in maxes if not B <= M)
         if lhs != rhs:
             return False, hyp, {"B": _rows(B), "solvable": lhs, "all_weak_c": rhs}
@@ -569,9 +555,7 @@ def observe_theorem_3_6(m):
     solvable."""
     L = m.algebra
     maxes = maximal_subalgebras(L)
-    lhs = any(
-        _sub_is_solvable(L, M) and is_weak_c_ideal(L, M) for M in maxes
-    )
+    lhs = any(L.is_solvable(M) and is_weak_c_ideal(L, M) for M in maxes)
     rhs = L.is_solvable()
     ok = lhs == rhs
     return ok, len(maxes), {} if ok else {"witness_exists": lhs, "solvable": rhs}

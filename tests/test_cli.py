@@ -424,6 +424,26 @@ def test_check_deeply_nested_witness_is_a_bad_witness(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--predicate", "nilpotent"],
+    ["lattice"],
+    ["series", "--kind", "derived"],
+])
+def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"field GF(2)\ndim 1\n\xff\xfe\n")
+    code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "input is not UTF-8: invalid start byte at byte 18\n"
+
+
+def test_a_huge_modulus_is_refused_without_trial_division(tmp_path, capsys):
+    doc = tmp_path / "big.alg"
+    doc.write_text("field GF(1" + "0" * 40 + "7)\ndim 1\n")
+    code, _, err = run(capsys, "series", str(doc), "--kind", "derived")
+    assert code == 2 and "exceeds supported cap 251" in err
+
+
 # -- witness mode -----------------------------------------------------------
 
 

@@ -1,0 +1,148 @@
+"""Questions about a subalgebra answered in the parent's coordinates,
+against the paths they replaced.
+
+``L.series(kind, S)``, ``L.is_solvable(S)``, ``L.is_nilpotent(S)`` and
+``Lattice.maximal_below(K)`` answer from L's own series and lattice index;
+the oracles build the restricted algebra ``L.restrict(S)`` and map its
+answers back.  ``is_supersolvable`` over GF(p) recurses on a
+one-dimensional minimal ideal; the oracle scans every line of L for an
+ideal, as the recursion did before.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import lieideals
+from lieideals.corpus import (
+    _sum_built,
+    abelian,
+    almost_abelian,
+    heisenberg,
+    sl2,
+    two_dim_nonabelian,
+)
+from lieideals.errors import NotASubalgebraError
+from lieideals.exactfield import GF
+from lieideals.ideals import ideals_of, lattice
+from lieideals.liecore import DERIVED, LOWER_CENTRAL
+from lieideals.linspace import MASK_LIMIT, mat_vec, projective_points, vec_scale
+from lieideals.structure import is_supersolvable, maximal_subalgebras
+from lieideals.verify import default_corpus
+
+LADDER = {
+    "almostabelian5-gf2": lambda: almost_abelian(GF(2), 5),
+    "almostabelian4-gf3": lambda: almost_abelian(GF(3), 4),
+    "sum-heisenberg-nonabelian2-gf2": lambda: _sum_built(
+        GF(2), heisenberg(GF(2)), two_dim_nonabelian(GF(2))),
+    "sum-nonabelian2-nonabelian2-gf3": lambda: _sum_built(
+        GF(3), two_dim_nonabelian(GF(3)), two_dim_nonabelian(GF(3))),
+    "sum-sl2-abelian1-gf3": lambda: _sum_built(GF(3), sl2(GF(3)), abelian(GF(3), 1)),
+}
+
+# two_dim_nonabelian over GF(67) has 67^2 > MASK_LIMIT elements, so its
+# lattice tests run on the Subspace operators instead of element masks
+ABOVE_MASK_LIMIT = {"nonabelian2-gf67": lambda: two_dim_nonabelian(GF(67))}
+
+
+def _algebras(max_dim):
+    out = {m.member_id: m.algebra for m in default_corpus() if m.algebra.dim <= max_dim}
+    for name, build in {**LADDER, **ABOVE_MASK_LIMIT}.items():
+        out[name] = build().algebra
+    return out
+
+
+ALGEBRAS = _algebras(5)
+
+
+def _back(L, view, T):
+    """A subspace of the restricted algebra, in L's coordinates."""
+    return L.span([view.from_sub(w) for w in T.rows])
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_subalgebra_answers_match_the_restricted_algebra(name):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    for S in lat.subalgebras:
+        view = L.restrict(S)
+        K = view.algebra
+        for kind in (DERIVED, LOWER_CENTRAL):
+            assert L.series(kind, S).terms == [_back(L, view, T) for T in K.series(kind).terms]
+        assert L.is_solvable(S) == K.is_solvable()
+        assert L.is_nilpotent(S) == K.is_nilpotent()
+        assert lat.maximal_below(S) == [_back(L, view, M) for M in maximal_subalgebras(K)]
+
+
+def test_the_differential_covers_both_lattice_paths():
+    L = ALGEBRAS["nonabelian2-gf67"]
+    assert L.field.p ** L.dim > MASK_LIMIT
+    assert len(lattice(L).maximal_below(L.full_space())) == 68  # every line
+    assert all(M.field.p ** M.dim <= MASK_LIMIT for M in ALGEBRAS.values() if M is not L)
+
+
+def test_only_searches_build_a_restricted_algebra():
+    # a question L can answer in its own coordinates needs no view; the
+    # searches that need K as an algebra, and one assertion, build one
+    calls = set()
+    for path in sorted(Path(lieideals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            asserts = [n for n in ast.walk(top) if isinstance(n, ast.Assert)]
+            in_assert = {id(n) for a in asserts for n in ast.walk(a)}
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "restrict"):
+                    calls.add((f"{path.stem}.{top.name}", id(node) in in_assert))
+    assert calls == {
+        ("cli.cmd_check", False),
+        ("verify.check_lemma_2_4_3", False),
+        ("structure._case_ii_split", True),
+    }
+
+
+def test_a_non_subalgebra_has_no_series():
+    L = heisenberg(GF(2)).algebra
+    N = L.span([(1, 0, 0), (0, 1, 0)])
+    for ask in (L.is_solvable, L.is_nilpotent, lambda S: L.series(DERIVED, S)):
+        for _ in range(2):  # a refusal is not memoized as an answer
+            with pytest.raises(NotASubalgebraError):
+                ask(N)
+
+
+# -- supersolvability against the line scan ---------------------------------
+
+
+def _line_is_ideal(L, v):
+    # [e_i, v] must be a multiple of v for every basis vector
+    f = L.field
+    lead = next(j for j, a in enumerate(v) if a)
+    for i in range(L.dim):
+        w = mat_vec(f, L.ad_matrix(i), v)
+        if w != vec_scale(f, f.norm(w[lead] * f.inv(v[lead])), v):
+            return False
+    return True
+
+
+def line_scan_supersolvable(L):
+    """Recurse on the first line of L that is an ideal, scanning every line."""
+    if L.dim == 0 or L.is_nilpotent():
+        return True
+    if not L.is_solvable():
+        return False
+    for v in projective_points(L.field, L.dim):
+        if _line_is_ideal(L, v):
+            return line_scan_supersolvable(L.quotient(L.span([v]))[0])
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_supersolvable_matches_the_line_scan(name):
+    """On L, on its quotients by ideals and on its restrictions."""
+    L = ALGEBRAS[name]
+    family = [L]
+    family += [L.quotient(I)[0] for I in ideals_of(L)]
+    family += [L.restrict(S).algebra for S in lattice(L).subalgebras]
+    for A in family:
+        assert is_supersolvable(A) is line_scan_supersolvable(A)

@@ -35,7 +35,6 @@ from lieideals.structure import (
     minimal_ideals,
     spin,
     structure_report,
-    sub_is_nilpotent,
 )
 from lieideals.verify import default_corpus
 
@@ -364,7 +363,7 @@ def test_cartan_subalgebras_known_values():
     carts = cartan_subalgebras(S)
     assert S.span([(0, 1, 0)]) in carts
     for C in carts:
-        assert sub_is_nilpotent(S, C)
+        assert S.is_nilpotent(C)
         assert S.normalizer(C) == C
 
 
