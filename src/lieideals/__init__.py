@@ -34,7 +34,6 @@ from .liecore import (
     LOWER_CENTRAL,
     LieAlgebra,
     SeriesReport,
-    SubalgebraView,
 )
 from .ideals import (
     CIdealCertificate,

@@ -146,7 +146,7 @@ def cmd_check(args, out=None, err=None):
         else:
             # supersolvable and simple search the subalgebra as an algebra
             decide = is_supersolvable if predicate == "supersolvable" else is_simple
-            target = L if S is None else L.restrict(S).algebra
+            target = L if S is None else L.restrict(S)[0]
             payload = {
                 "predicate": predicate,
                 "verdict": _verdict(decide(target, budget=args.budget)),

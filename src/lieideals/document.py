@@ -126,7 +126,7 @@ def _parse_call(text, line_no):
 
     def parse_node(depth):
         tok = take()
-        if tok.isdigit():
+        if tok.isdecimal():
             return int(tok)
         if not _LABEL_RE.match(tok):
             raise ParseError(f"bad preset token {tok!r}", line_no)
@@ -224,7 +224,7 @@ def parse_document(text):
             raise ParseError("missing dim line")
         no, line = dim_line
         parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdecimal():
             raise ParseError("dim takes one non-negative integer", no)
         dim = int(parts[1])
         if basis_line is not None:

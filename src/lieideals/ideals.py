@@ -376,8 +376,8 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
     if not L.is_subalgebra(B):
         raise NotASubalgebraError("complement search needs a subalgebra")
     core_B = core(L, B)
-    Lq, qmap = L.quotient(core_B)
-    Bq = qmap.project_subspace(B)
+    Lq, smap = L.quotient(core_B)
+    Bq = smap.project_subspace(B)
     lat = lattice(Lq, budget)
     complements = lat.splits(Bq, Lq.zero_space())
     for Kq in lat.subalgebras:
@@ -387,5 +387,5 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
             continue
         if subideal_chain(Lq, Kq) is None:
             continue
-        return qmap.preimage_subspace(Kq)
+        return smap.preimage_subspace(Kq)
     return None

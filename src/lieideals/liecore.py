@@ -17,11 +17,10 @@ from .errors import (
 )
 from .exactfield import field_from_name
 from .linspace import (
-    Subspace,
+    SectionMap,
     check_enumeration,
     dot,
     full_subspace,
-    lin_comb,
     right_kernel,
     span,
     transpose,
@@ -30,7 +29,6 @@ from .linspace import (
     vec_scale,
     zero_subspace,
     zero_vector,
-    QuotientMap,
 )
 
 DERIVED = "derived"
@@ -210,16 +208,16 @@ class LieAlgebra:
     def normalizer(self, B):
         """{x : [x, B] <= B}, as an exact solution space."""
         f = self.field
-        qmap = QuotientMap(B)
-        if qmap.dim == 0:
+        smap = SectionMap(self.full_space(), B)
+        if smap.dim == 0:
             return self.full_space()
         rows = []
         for b in B.rows:
             cols = [
-                qmap.project(self.bracket(unit_vector(f, self.dim, j), b))
+                smap.project(self.bracket(unit_vector(f, self.dim, j), b))
                 for j in range(self.dim)
             ]
-            rows.extend(transpose(cols, qmap.dim))
+            rows.extend(transpose(cols, smap.dim))
         vectors = right_kernel(f, rows, self.dim)
         return span(f, self.dim, vectors)
 
@@ -229,45 +227,51 @@ class LieAlgebra:
     # -- quotients and restrictions -----------------------------------------
 
     def quotient(self, I):
-        """The pair ``(L/I, qmap)`` for an ideal I: the quotient algebra, in
-        the coordinates of the :class:`QuotientMap` ``qmap`` that projects
-        vectors and subspaces of L onto it and lifts them back."""
-        return self.memo(("quotient", I.rows), lambda: self._quotient(I))
+        """The pair ``(L/I, smap)`` for an ideal I: the quotient algebra, in
+        the coordinates of the :class:`SectionMap` ``smap`` of L/I, which
+        projects vectors and subspaces of L onto it and lifts them back."""
+        def build():
+            if not self.is_subalgebra(I):
+                raise NotAnIdealError("quotient by a subspace that is not a subalgebra")
+            if not self.is_ideal(I):
+                raise NotAnIdealError("quotient by a subspace that is not an ideal")
+            quot, smap = self._section(self.full_space(), I)
+            units = [unit_vector(self.field, self.dim, i) for i in range(self.dim)]
+            for i in range(self.dim):
+                for j in range(i + 1, self.dim):
+                    lhs = smap.project(self.bracket_basis(i, j))
+                    rhs = quot.bracket(smap.project(units[i]), smap.project(units[j]))
+                    assert lhs == rhs, "quotient projection is not a homomorphism"
+            return quot, smap
 
-    def _quotient(self, I):
-        if not self.is_subalgebra(I):
-            raise NotAnIdealError("quotient by a subspace that is not a subalgebra")
-        if not self.is_ideal(I):
-            raise NotAnIdealError("quotient by a subspace that is not an ideal")
-        qmap = QuotientMap(I)
-        m = qmap.dim
-        f = self.field
-        lifts = qmap.lift_rows()
-        brackets = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                v = qmap.project(self.bracket(lifts[a], lifts[b]))
-                brackets[(a, b)] = v
-        quot = LieAlgebra(f, m, brackets, check=False)
-        units = [unit_vector(f, self.dim, i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                lhs = qmap.project(self.bracket_basis(i, j))
-                rhs = quot.bracket(qmap.project(units[i]), qmap.project(units[j]))
-                assert lhs == rhs, "quotient projection is not a homomorphism"
-        return quot, qmap
+        return self.memo(("quotient", I.rows), build)
 
     def restrict(self, K):
-        """View a bracket-closed subspace as a Lie algebra in its own right,
-        for a search that needs K as an algebra.  Questions about K that L
-        can answer in its own coordinates (``series``, ``is_solvable``,
-        ``is_nilpotent``, ``ideals.Lattice.maximal_below``) need no view."""
+        """The pair ``(K, smap)`` for a bracket-closed subspace K: K as a Lie
+        algebra in its own right, in the coordinates of the
+        :class:`SectionMap` ``smap`` of K/0, for a search that needs K as an
+        algebra.  Questions about K that L can answer in its own coordinates
+        (``series``, ``is_solvable``, ``is_nilpotent``,
+        ``ideals.Lattice.maximal_below``) need no restriction."""
         def build():
             if not self.is_subalgebra(K):
                 raise NotASubalgebraError("restriction target is not bracket-closed")
-            return SubalgebraView(self, K)
+            return self._section(K, self.zero_space())
 
         return self.memo(("restrict", K.rows), build)
+
+    def _section(self, K, I):
+        """The section K/I, for an ideal I of a subalgebra K, with its map.
+        The map holds no reference to L, whose memo holds the pair: that
+        cycle would leave every section for the cycle collector."""
+        smap = SectionMap(K, I)
+        lifts = smap.lifts
+        m = smap.dim
+        brackets = {}
+        for a in range(m):
+            for b in range(a + 1, m):
+                brackets[(a, b)] = smap.project(self.bracket(lifts[a], lifts[b]))
+        return LieAlgebra(self.field, m, brackets, check=False), smap
 
     # -- misc ---------------------------------------------------------------
 
@@ -334,37 +338,3 @@ class SeriesReport:
                 return idx
         return None
 
-
-class SubalgebraView:
-    """A subalgebra of an ambient algebra, in its own coordinates.
-
-    Coordinates are taken against the canonical RREF basis of the carrier
-    subspace, so the view is deterministic for a given subspace.  The view
-    keeps no reference to the ambient algebra, whose memo holds the view:
-    that cycle would leave every restricted algebra for the cycle collector.
-    """
-
-    def __init__(self, parent, space):
-        self.space = space
-        k = space.dim
-        brackets = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                v = parent.bracket(space.rows[a], space.rows[b])
-                brackets[(a, b)] = self.to_sub(v)
-        self.algebra = LieAlgebra(space.field, k, brackets, check=False)
-
-    def to_sub(self, v):
-        """Coordinates of an ambient vector lying in the subalgebra."""
-        coords = tuple(v[p] for p in self.space.pivots)
-        if self.from_sub(coords) != tuple(v):
-            raise NotContainedError("vector is outside the subalgebra")
-        return coords
-
-    def from_sub(self, coords):
-        S = self.space
-        return lin_comb(S.field, coords, S.rows, S.ambient)
-
-    def restrict_subspace(self, U):
-        S = self.space
-        return Subspace(S.field, S.dim, [self.to_sub(v) for v in U.rows])

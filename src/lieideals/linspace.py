@@ -13,6 +13,7 @@ from .errors import (
     AmbientMismatchError,
     BudgetExceededError,
     EnumerationUnsupportedError,
+    NotContainedError,
 )
 from .exactfield import PrimeField
 
@@ -364,52 +365,53 @@ def annihilator(S):
 
 
 # ---------------------------------------------------------------------------
-# quotient coordinates
+# section coordinates
 # ---------------------------------------------------------------------------
 
-class QuotientMap:
-    """Projection onto a complement of U and a fixed linear section back.
+class SectionMap:
+    """Coordinates on the section K/I, for subspaces I <= K of F^n.
 
-    Quotient coordinates are indexed by the non-pivot columns of U's basis,
-    so the lift of the a-th coordinate vector is the standard basis vector
-    at that column.  ``project(lift(c)) == c`` for every coordinate tuple c.
+    A coordinate is read at each pivot column of K that is not a pivot of
+    I (I's pivots are among K's), and the lift of the a-th coordinate
+    vector is K's basis row at that column.  So a restriction (I = 0)
+    reads K's pivot entries and lifts along K's basis, and a quotient
+    (K = F^n) reads the columns outside I's pivots and lifts to unit
+    vectors.  ``project(lift(c)) == c`` for every coordinate tuple c.
     """
 
-    __slots__ = ("subspace", "complement_cols", "dim")
+    __slots__ = ("K", "I", "lifts", "cols", "dim")
 
-    def __init__(self, subspace):
-        self.subspace = subspace
-        pivot_set = set(subspace.pivots)
-        self.complement_cols = tuple(
-            c for c in range(subspace.ambient) if c not in pivot_set
-        )
-        self.dim = len(self.complement_cols)
+    def __init__(self, K, I):
+        self.K = K
+        self.I = I
+        pivot_set = set(I.pivots)
+        self.cols = tuple(p for p in K.pivots if p not in pivot_set)
+        self.lifts = tuple(row for row, p in zip(K.rows, K.pivots) if p not in pivot_set)
+        self.dim = len(self.cols)
 
     def project(self, v):
-        res = self.subspace.reduce(v)
-        return tuple(res[c] for c in self.complement_cols)
+        """Coordinates of the coset v + I, for v in K."""
+        res = self.I.reduce(v)
+        coords = tuple(res[c] for c in self.cols)
+        # res lies in K exactly when it is the lift of its coordinates,
+        # and every vector lies in a full K
+        if not self.K.is_full() and self.lift(coords) != res:
+            raise NotContainedError("vector is outside the subspace K of K/I")
+        return coords
 
     def lift(self, coords):
-        field = self.subspace.field
-        out = [field.zero] * self.subspace.ambient
-        for a, c in zip(coords, self.complement_cols):
-            out[c] = a
-        return tuple(out)
-
-    def lift_rows(self):
-        """Row a is the lift of the a-th quotient coordinate vector."""
-        n = self.subspace.ambient
-        field = self.subspace.field
-        return tuple(unit_vector(field, n, c) for c in self.complement_cols)
+        K = self.K
+        return lin_comb(K.field, coords, self.lifts, K.ambient)
 
     def project_subspace(self, U):
-        return Subspace(
-            self.subspace.field, self.dim, [self.project(v) for v in U.rows]
-        )
+        """The image of a subspace U <= K, in the coordinates of K/I."""
+        return Subspace(self.K.field, self.dim, [self.project(v) for v in U.rows])
 
     def preimage_subspace(self, W):
-        vectors = [self.lift(w) for w in W.rows] + list(self.subspace.rows)
-        return Subspace(self.subspace.field, self.subspace.ambient, vectors)
+        """The subspace of K, containing I, that maps onto W."""
+        K = self.K
+        vectors = [self.lift(w) for w in W.rows] + list(self.I.rows)
+        return Subspace(K.field, K.ambient, vectors)
 
 
 # ---------------------------------------------------------------------------

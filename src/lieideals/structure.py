@@ -22,6 +22,7 @@ from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
+    SectionMap,
     Subspace,
     check_enumeration,
     closure,
@@ -62,19 +63,21 @@ def _norton(L, V):
 
     True when V is a minimal ideal, False when it properly contains a
     nonzero ideal, None when no test element qualifies.  The test element
-    is theta = R_i - lam, with R_i the action of ad(e_i) on V in its RREF
-    coordinates, of least nullity k with 0 < k < dim V (first i, then lam,
-    breaks ties).  V is irreducible exactly when every line of ker theta
-    spins to V and one vector of ker theta^T spins to V* under the R_i^T:
-    a proper ideal W meeting ker theta in 0 has theta(W) = W inside
-    im theta, so ker theta^T annihilates W and spins inside W's annihilator.
+    is theta = R_i - lam, with R_i the action of ad(e_i) on V in the
+    coordinates of the section V/0, of least nullity k with 0 < k < dim V
+    (first i, then lam, breaks ties).  V is irreducible exactly when every
+    line of ker theta spins to V and one vector of ker theta^T spins to V*
+    under the R_i^T: a proper ideal W meeting ker theta in 0 has
+    theta(W) = W inside im theta, so ker theta^T annihilates W and spins
+    inside W's annihilator.
     """
     f = L.field
     d = V.dim
+    smap = SectionMap(V, L.zero_space())
     R = []
     for i in range(L.dim):
-        cols = [mat_vec(f, L.ad_matrix(i), r) for r in V.rows]
-        R.append(tuple(tuple(col[p] for col in cols) for p in V.pivots))
+        cols = [smap.project(mat_vec(f, L.ad_matrix(i), r)) for r in V.rows]
+        R.append(transpose(cols, d))
     best = None
     for Ri in R:
         for lam in f.elements():
@@ -88,7 +91,7 @@ def _norton(L, V):
     if best is None:
         return None
     theta = best[1]
-    kernel = L.span([lin_comb(f, x, V.rows, L.dim) for x in right_kernel(f, theta, d)])
+    kernel = L.span([smap.lift(x) for x in right_kernel(f, theta, d)])
     if any(spin(L, v).dim < d for v in _points(kernel)):
         return False
     w = right_kernel(f, transpose(theta, d), d)[0]
@@ -182,10 +185,11 @@ def _divisors(m, cap=10**12):
     return sorted(set(out))
 
 
-def _rational_roots(coeffs):
+def _rational_roots(coeffs, budget):
     """All rational roots of a nonzero polynomial with Fraction
     coefficients.  Raises EnumerationUnsupportedError when a coefficient to
-    factor is beyond the divisor cap."""
+    factor is beyond the divisor cap, or when the candidates ±num/den
+    outnumber the budget (None: no limit)."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -204,6 +208,11 @@ def _rational_roots(coeffs):
     if len(ints) == 1:
         return sorted(roots)
     nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    count = 2 * len(nums) * len(dens)
+    if budget is not None and count > budget:
+        raise EnumerationUnsupportedError(
+            f"rational root search needs {count} candidates, budget is {budget}"
+        )
     for num in nums:
         for den in dens:
             for cand in (Fraction(num, den), Fraction(-num, den)):
@@ -224,7 +233,7 @@ def _eigenspace(f, rows, lam, n):
     return span(f, n, ker)
 
 
-def _find_line_ideal_rational(L):
+def _find_line_ideal_rational(L, budget):
     """Common rational eigenvector search; returns a line ideal, or None
     when there is none."""
     f = L.field
@@ -232,7 +241,7 @@ def _find_line_ideal_rational(L):
     spaces = [L.full_space()]
     for i in range(n):
         rows = L.ad_matrix(i)
-        roots = _rational_roots(_char_poly(f, rows))
+        roots = _rational_roots(_char_poly(f, rows), budget)
         refined = set()
         for W in spaces:
             for lam in roots:
@@ -256,7 +265,8 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
     GF(p) the line is a one-dimensional minimal ideal: every minimal ideal M
     of a supersolvable L is a line, since for the least i with M ∩ L_i != 0
     in a flag of ideals, M embeds in L_i/L_{i-1}.  Over Q the eigenvector
-    search raises when its root extraction gives up.
+    search raises when its root extraction gives up or has more candidate
+    roots than the budget.
     """
     if L.dim == 0 or L.is_nilpotent():
         return True
@@ -265,7 +275,7 @@ def is_supersolvable(L, budget=DEFAULT_BUDGET):
     if isinstance(L.field, PrimeField):
         line = next((M for M in minimal_ideals(L, budget) if M.dim == 1), None)
     else:
-        line = _find_line_ideal_rational(L)
+        line = _find_line_ideal_rational(L, budget)
     if line is None:
         return False
     return is_supersolvable(L.quotient(line)[0], budget)
@@ -428,7 +438,7 @@ def _case_ii_split(L):
     A = L.span(a_rows)
     assert (A & B).dim == 0 and (A + B) == full
     assert L.product_space(full, A) <= A and L.product_space(full, B) <= B
-    assert is_almost_abelian(L.restrict(B).algebra)
+    assert is_almost_abelian(L.restrict(B)[0])
     return (A, B)
 
 

@@ -203,9 +203,8 @@ def check_lemma_2_4_3(m):
             continue
         for K in lat.containing(B):
             hyp += 1
-            view = L.restrict(K)
-            Bv = view.restrict_subspace(B)
-            if find_weak_c_witness(view.algebra, Bv) is None:
+            Lk, smap = L.restrict(K)
+            if find_weak_c_witness(Lk, smap.project_subspace(B)) is None:
                 return FAIL, hyp, {"B": _rows(B), "K": _rows(K)}
     return PASS, hyp, {}
 
@@ -217,11 +216,11 @@ def check_lemma_2_4_4(m):
     lat = lattice(L)
     hyp = 0
     for I in ideals_of(L):
-        Lq, qmap = L.quotient(I)
+        Lq, smap = L.quotient(I)
         for B in lat.containing(I):
             hyp += 1
             below = is_weak_c_ideal(L, B)
-            Bq = qmap.project_subspace(B)
+            Bq = smap.project_subspace(B)
             above = find_weak_c_witness(Lq, Bq) is not None
             if below != above:
                 return FAIL, hyp, {
@@ -343,10 +342,10 @@ def check_lemma_4_1(m):
     maxnilp = maximal_nilpotent_subalgebras(L)
     hyp = 0
     for A in ideals_of(L):
-        Lq, qmap = L.quotient(A)
+        Lq, smap = L.quotient(A)
         for Ubar in maximal_nilpotent_subalgebras(Lq):
             hyp += 1
-            U = qmap.preimage_subspace(Ubar)
+            U = smap.preimage_subspace(Ubar)
             if not any(C + A == U for C in maxnilp):
                 return FAIL, hyp, {"A": _rows(A), "U": _rows(U)}
     return PASS, hyp, {}

@@ -345,6 +345,22 @@ def test_first_budget_refusal_on_a_large_algebra_is_fast(tmp_path, capsys):
     assert code == 3
 
 
+def test_a_rational_root_search_past_the_budget_is_unsupported(tmp_path, capsys):
+    # the constant and leading coefficients of ad(e1)'s characteristic
+    # polynomial each have 6,720 divisors: 90,316,800 candidate roots
+    alg = tmp_path / "roots.alg"
+    alg.write_text(
+        "field Q\ndim 3\n[e1,e2] = 1/963761198400*e2 - 1*e3\n[e1,e3] = 1*e2\n"
+    )
+    code, out, _ = run(capsys, "check", str(alg), "--predicate", "supersolvable")
+    assert code == 3
+    assert json.loads(out) == {
+        "predicate": "supersolvable",
+        "verdict": "unsupported",
+        "reason": "rational root search needs 90316800 candidates, budget is 1000000",
+    }
+
+
 def test_check_simple_over_q_names_the_reason(capsys):
     code, out, _ = run(
         capsys, "check", str(DATA / "sl2q.alg"), "--predicate", "simple"
@@ -435,6 +451,20 @@ def test_a_document_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv[0], str(bad), *argv[1:])
     assert code == 2 and out == ""
     assert err == "input is not UTF-8: invalid start byte at byte 18\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--predicate", "nilpotent"],
+    ["lattice"],
+    ["series", "--kind", "derived"],
+])
+def test_a_unicode_digit_is_not_a_dimension(tmp_path, capsys, argv):
+    # "²".isdigit() is true, but int("²") raises
+    doc = tmp_path / "sup.alg"
+    doc.write_text("field GF(2)\ndim ²\n", encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
+    assert code == 2 and out == ""
+    assert err == "line 2: dim takes one non-negative integer\n"
 
 
 def test_a_huge_modulus_is_refused_without_trial_division(tmp_path, capsys):

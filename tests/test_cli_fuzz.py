@@ -26,7 +26,9 @@ field_lines = st.sampled_from([
     "field GF(2)", "field GF(3)", "field Q", "field GF(4)", "field GF(" + BIG + ")",
     "field GF(" + HUGE + ")", "field", "field GF(2", "field Q Q",
 ])
-dim_lines = st.sampled_from(["dim 0", "dim 1", "dim 2", "dim 3", "dim 4", "dim", "dim -1"])
+dim_lines = st.sampled_from(
+    ["dim 0", "dim 1", "dim 2", "dim 3", "dim 4", "dim", "dim -1", "dim ²"]
+)
 basis_lines = st.lists(labels, max_size=5).map(lambda ls: " ".join(["basis"] + ls))
 terms = st.tuples(literals, labels).map(lambda t: f"{t[0]}*{t[1]}") | labels
 combos = st.lists(terms, min_size=1, max_size=3).map(" + ".join) | st.just("0")
@@ -115,6 +117,7 @@ FUZZ = settings(
 @given(data=documents(), argv=argvs)
 @example(data=b"field GF(2)\ndim 1\n\xff\xfe\n", argv=["check", "--predicate", "nilpotent"])
 @example(data=b"preset\n", argv=["lattice"])
+@example(data="field GF(2)\ndim ²\n".encode(), argv=["check", "--predicate", "nilpotent"])
 def test_malformed_documents_end_in_an_exit_code(tmp_path_factory, data, argv):
     path = tmp_path_factory.getbasetemp() / "fuzz.alg"
     path.write_bytes(data)

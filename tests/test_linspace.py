@@ -14,11 +14,12 @@ from lieideals.errors import (
     BudgetExceededError,
     EnumerationUnsupportedError,
     FieldMismatchError,
+    NotContainedError,
 )
 from lieideals.exactfield import GF, QQ
 from lieideals.linspace import (
     EchelonBasis,
-    QuotientMap,
+    SectionMap,
     Subspace,
     count_subspaces,
     element_mask,
@@ -367,7 +368,7 @@ def test_solve_known_and_random():
 
 
 # ---------------------------------------------------------------------------
-# EchelonBasis and QuotientMap
+# EchelonBasis and SectionMap
 # ---------------------------------------------------------------------------
 
 def test_echelon_basis_incremental_matches_span():
@@ -388,7 +389,7 @@ def test_echelon_basis_incremental_matches_span():
 def test_quotient_map_round_trips():
     f = GF(2)
     U = span(f, 3, [(0, 0, 1)])
-    q = QuotientMap(U)
+    q = SectionMap(full_subspace(f, 3), U)
     assert q.dim == 2
     for v in all_vectors(f, 3):
         w = q.project(v)
@@ -400,6 +401,24 @@ def test_quotient_map_round_trips():
     assert W.dim == 1
     back = q.preimage_subspace(W)
     assert back == span(f, 3, [(1, 0, 0), (0, 0, 1)])
+
+
+def test_a_section_between_two_proper_subspaces():
+    # K = <(1,1,0,0), (0,0,1,1)> over GF(3) has pivots 0 and 2, and
+    # I = <(1,1,1,1)> has pivot 0, so K/I reads column 2 and lifts to
+    # K's second row
+    f = GF(3)
+    K = span(f, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])
+    I = span(f, 4, [(1, 1, 1, 1)])
+    s = SectionMap(K, I)
+    assert s.dim == 1
+    assert s.lift((2,)) == (0, 0, 2, 2)
+    assert s.project((1, 1, 1, 1)) == (0,)
+    assert s.project((1, 1, 0, 0)) == (2,)  # (1,1,0,0) = I - (0,0,1,1)
+    with pytest.raises(NotContainedError):
+        s.project((1, 0, 0, 0))
+    assert s.preimage_subspace(s.project_subspace(K)) == K
+    assert s.project_subspace(I).is_zero()
 
 
 def test_unit_vector():

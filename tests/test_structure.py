@@ -297,6 +297,16 @@ def test_supersolvable_gives_up_on_huge_root_extraction():
     assert str(n) in str(exc.value) and str(10**12) in str(exc.value)
 
 
+def test_the_rational_root_search_is_bounded_by_the_budget():
+    # ad(x) has characteristic polynomial t (t^2 - 2): the candidates for a
+    # root of t^2 - 2 are ±1 and ±2
+    L = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, 2, 0)})
+    assert is_supersolvable(L, budget=4) is False
+    with pytest.raises(EnumerationUnsupportedError) as exc:
+        is_supersolvable(L, budget=3)
+    assert str(exc.value) == "rational root search needs 4 candidates, budget is 3"
+
+
 def test_supersolvable_budget_guard():
     L = solvable_not_supersolvable(GF(2))
     with pytest.raises(BudgetExceededError) as exc:
