@@ -7,6 +7,7 @@ subspaces the construction singles out.  All tables pass the Jacobi check at
 build time.
 """
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PresetError
@@ -162,16 +163,14 @@ def direct_sum(L1, L2):
     """Block-diagonal sum; each summand's image is an ideal."""
     L1.field.check_same(L2.field)
     f = L1.field
-    n = L1.dim + L2.dim
+    n1, n2 = L1.dim, L2.dim
     brackets = {}
-    for (i, j), v in L1._table.items():
-        brackets[(i, j)] = tuple(v) + (f.zero,) * L2.dim
-    for (i, j), v in L2._table.items():
-        brackets[(i + L1.dim, j + L1.dim)] = (f.zero,) * L1.dim + tuple(v)
-    labels = [f"{name}_1" for name in L1.labels] + [
-        f"{name}_2" for name in L2.labels
-    ]
-    return LieAlgebra(f, n, brackets, labels=labels)
+    for i, j in itertools.combinations(range(n1), 2):
+        brackets[(i, j)] = L1.bracket_basis(i, j) + (f.zero,) * n2
+    for i, j in itertools.combinations(range(n2), 2):
+        brackets[(i + n1, j + n1)] = (f.zero,) * n1 + L2.bracket_basis(i, j)
+    labels = [f"{a}_1" for a in L1.labels] + [f"{a}_2" for a in L2.labels]
+    return LieAlgebra(f, n1 + n2, brackets, labels=labels)
 
 
 def _sum_built(f, b1, b2):

@@ -140,7 +140,7 @@ def core(L, B):
         dual = closure(L.field, L.dim, annihilator(B).rows, L.transposed_ad_images)
         return annihilator(dual)
 
-    return L.memo(("core", B.rows), build)
+    return L.memo(("core", B), build)
 
 
 def ideal_closure(L, B, K):
@@ -218,7 +218,7 @@ def subideal_chain(L, B):
         assert not bad, f"standard series produced an invalid chain: {bad}"
         return chain
 
-    return L.memo(("chain", B.rows), build)
+    return L.memo(("chain", B), build)
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +322,25 @@ class CIdealCertificate:
 # exhaustive witness searches (finite prime fields)
 # ---------------------------------------------------------------------------
 
-def _first_witness(L, B, lat, candidates, certify):
-    """Certificate for the first C in candidates with L = B + C and B ∩ C
-    inside the core of B that certify(C, core_B) accepts, or None."""
-    core_B = core(L, B)
-    splits = lat.splits(B, core_B)
-    least = L.dim - B.dim
-    for C in candidates:
-        if C.dim < least or not splits(C):
-            continue
-        cert = certify(C, core_B)
-        if cert is not None:
-            return cert
-    return None
+def _first_witness(L, B, kind, budget, certify):
+    """Certificate for the first subalgebra C in canonical lattice order
+    with L = B + C and B ∩ C inside the core of B that certify(C, core_B)
+    accepts, or None.  The two witness kinds differ only in certify."""
+    def build():
+        if not L.is_subalgebra(B):
+            raise NotASubalgebraError(f"{kind} search needs a subalgebra")
+        lat = lattice(L, budget)
+        core_B = core(L, B)
+        splits = lat.splits(B, core_B)
+        least = L.dim - B.dim
+        for C in lat.subalgebras:
+            if C.dim >= least and splits(C):
+                cert = certify(C, core_B)
+                if cert is not None:
+                    return cert
+        return None
+
+    return L.memo((kind, B), build, budget)
 
 
 def find_weak_c_witness(L, B, budget=DEFAULT_BUDGET):
@@ -344,26 +350,15 @@ def find_weak_c_witness(L, B, budget=DEFAULT_BUDGET):
         chain = subideal_chain(L, C)
         return None if chain is None else WeakCIdealCertificate(B, C, chain, core_B)
 
-    def build():
-        if not L.is_subalgebra(B):
-            raise NotASubalgebraError("weak c-ideal search needs a subalgebra")
-        lat = lattice(L, budget)
-        return _first_witness(L, B, lat, lat.subalgebras, certify)
-
-    return L.memo(("weakc", B.rows), build, budget)
+    return _first_witness(L, B, "weak c-ideal", budget, certify)
 
 
 def find_c_witness(L, B, budget=DEFAULT_BUDGET):
     """First valid c-ideal witness for B in canonical lattice order."""
-    def build():
-        if not L.is_subalgebra(B):
-            raise NotASubalgebraError("c-ideal search needs a subalgebra")
-        return _first_witness(
-            L, B, lattice(L, budget), ideals_of(L, budget),
-            lambda C, core_B: CIdealCertificate(B, C, core_B),
-        )
+    def certify(C, core_B):
+        return CIdealCertificate(B, C, core_B) if L.is_ideal(C) else None
 
-    return L.memo(("cideal", B.rows), build, budget)
+    return _first_witness(L, B, "c-ideal", budget, certify)
 
 
 def is_weak_c_ideal(L, B, budget=DEFAULT_BUDGET):

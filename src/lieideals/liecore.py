@@ -33,6 +33,7 @@ from .linspace import (
 
 DERIVED = "derived"
 LOWER_CENTRAL = "lower-central"
+_MISSING = object()  # a memo miss; None is a memoized answer
 
 
 class LieAlgebra:
@@ -155,7 +156,9 @@ class LieAlgebra:
         return self.product_space(S, S) <= S
 
     def is_ideal(self, S):
-        return self.product_space(self.full_space(), S) <= S
+        return self.memo(
+            ("ideal", S), lambda: self.product_space(self.full_space(), S) <= S
+        )
 
     def series(self, kind, S=None):
         """Derived or lower-central series of the subalgebra S (default: the
@@ -184,13 +187,13 @@ class LieAlgebra:
 
     def is_solvable(self, S=None):
         """Whether the subalgebra S (default: L) is solvable."""
-        key = ("solvable", None if S is None else S.rows)
-        return self.memo(key, lambda: self.series(DERIVED, S).reaches_zero)
+        return self.memo(("solvable", S), lambda: self.series(DERIVED, S).reaches_zero)
 
     def is_nilpotent(self, S=None):
         """Whether the subalgebra S (default: L) is nilpotent."""
-        key = ("nilpotent", None if S is None else S.rows)
-        return self.memo(key, lambda: self.series(LOWER_CENTRAL, S).reaches_zero)
+        return self.memo(
+            ("nilpotent", S), lambda: self.series(LOWER_CENTRAL, S).reaches_zero
+        )
 
     def is_abelian(self):
         return not self._table
@@ -244,7 +247,7 @@ class LieAlgebra:
                     assert lhs == rhs, "quotient projection is not a homomorphism"
             return quot, smap
 
-        return self.memo(("quotient", I.rows), build)
+        return self.memo(("quotient", I), build)
 
     def restrict(self, K):
         """The pair ``(K, smap)`` for a bracket-closed subspace K: K as a Lie
@@ -258,7 +261,7 @@ class LieAlgebra:
                 raise NotASubalgebraError("restriction target is not bracket-closed")
             return self._section(K, self.zero_space())
 
-        return self.memo(("restrict", K.rows), build)
+        return self.memo(("restrict", K), build)
 
     def _section(self, K, I):
         """The section K/I, for an ideal I of a subalgebra K, with its map.
@@ -283,11 +286,11 @@ class LieAlgebra:
         enumeration gate, so a warm lookup answers, or raises, exactly as a
         fresh call with the same budget would.
         """
-        if key in self._cache:
-            if budget is not None:
-                check_enumeration(self.field, self.dim, budget)
-            return self._cache[key]
-        value = self._cache[key] = thunk()
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = thunk()
+        elif budget is not None:
+            check_enumeration(self.field, self.dim, budget)
         return value
 
     def label_index(self, name):

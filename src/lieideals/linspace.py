@@ -13,6 +13,7 @@ from .errors import (
     AmbientMismatchError,
     BudgetExceededError,
     EnumerationUnsupportedError,
+    LieIdealsError,
     NotContainedError,
 )
 from .exactfield import PrimeField
@@ -315,6 +316,8 @@ class Subspace:
 
     @classmethod
     def from_basis_strings(cls, field, ambient, rows):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise LieIdealsError("a basis must be a list of lists of scalars")
         vectors = [tuple(field.parse(a) for a in row) for row in rows]
         return cls(field, ambient, vectors)
 

@@ -590,6 +590,45 @@ def test_witness_verification_works_over_q(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "yes"
 
 
+HEIS3_TEXT = "field GF(3)\ndim 3\n[e1,e2] = e3\nsubspace Z = span(e3)\n"
+
+
+@pytest.mark.parametrize("predicate, field", [
+    ("subideal", None),
+    ("weak-c-ideal", "subalgebra"),
+    ("weak-c-ideal", "witness"),
+    ("weak-c-ideal", "core"),
+    ("weak-c-ideal", "chain"),
+    ("c-ideal", "subalgebra"),
+    ("c-ideal", "witness"),
+    ("c-ideal", "core"),
+])
+def test_a_row_written_as_one_string_is_a_bad_witness(
+    tmp_path, capsys, predicate, field
+):
+    # "001" must not read as the vector (0, 0, 1): a basis is a list of rows,
+    # each a list of scalars
+    alg = tmp_path / "heis3.alg"
+    alg.write_text(HEIS3_TEXT)
+    argv = ["check", str(alg), "--predicate", predicate, "--subspace", "Z"]
+    _, out, _ = run(capsys, *argv)
+    found = json.loads(out)
+    flat = lambda rows: ["".join(row) for row in rows]
+    if field is None:
+        doc = [flat(term) for term in found["chain"]]
+    else:
+        cert = found["certificate"]
+        if field == "chain":
+            doc = dict(cert, chain=[flat(term) for term in cert["chain"]])
+        else:
+            doc = dict(cert, **{field: flat(cert[field])})
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--witness", str(wfile))
+    assert code == 2 and out == ""
+    assert err == "bad witness file: a basis must be a list of lists of scalars\n"
+
+
 def test_witness_file_abuse(tmp_path, capsys):
     wfile = tmp_path / "w.json"
     wfile.write_text("not json at all")

@@ -22,8 +22,10 @@ from lieideals.corpus import (
 )
 from lieideals.document import parse_document
 from lieideals.errors import (
+    AmbientMismatchError,
     BudgetExceededError,
     EnumerationUnsupportedError,
+    FieldMismatchError,
     NotASubalgebraError,
     NotContainedError,
 )
@@ -44,7 +46,7 @@ from lieideals.ideals import (
     subideal_complement_mod_core,
 )
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
-from lieideals.linspace import MASK_LIMIT, element_mask
+from lieideals.linspace import MASK_LIMIT, Subspace, element_mask, zero_subspace
 from lieideals.structure import (
     cartan_subalgebras,
     frattini,
@@ -291,6 +293,41 @@ def test_warm_memo_still_obeys_the_budget(query):
     assert (exc.value.needed, exc.value.budget) == (16, 1)
     assert query(L, budget=16) is first
     assert query(L, budget=None) is first
+
+
+SUBSPACE_QUERIES = {
+    "core": core,
+    "subideal_chain": subideal_chain,
+    "is_solvable": lambda L, S: L.is_solvable(S),
+    "is_nilpotent": lambda L, S: L.is_nilpotent(S),
+    "is_ideal": lambda L, S: L.is_ideal(S),
+    "quotient": lambda L, S: L.quotient(S),
+    "restrict": lambda L, S: L.restrict(S),
+    "find_weak_c_witness": find_weak_c_witness,
+    "find_c_witness": find_c_witness,
+}
+
+
+@pytest.mark.parametrize("query", sorted(SUBSPACE_QUERIES))
+@pytest.mark.parametrize("case", ["foreign-field", "wrong-ambient-zero"])
+def test_memo_answers_do_not_depend_on_call_history(query, case):
+    # a GF(2) subspace has the rows of a GF(3) one, and every zero subspace
+    # has no rows: asking about L's own subspace first must not answer the
+    # other one from the memo
+    ask = SUBSPACE_QUERIES[query]
+    L = heis(GF(3))
+    if case == "foreign-field":
+        native = L.span([(0, 0, 1)])
+        other, error = Subspace(GF(2), 3, [(0, 0, 1)]), FieldMismatchError
+    else:
+        native = L.zero_space()
+        other, error = zero_subspace(GF(3), 4), AmbientMismatchError
+    assert other.rows == native.rows
+    with pytest.raises(error):
+        ask(L, other)
+    ask(L, native)
+    with pytest.raises(error):
+        ask(L, other)
 
 
 @pytest.mark.parametrize(

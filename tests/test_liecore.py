@@ -4,6 +4,7 @@ Series terms and centralizers for the small named algebras are checked
 against values computed by hand from the structure-constant tables.
 """
 
+import ast
 import gc
 import itertools
 import random
@@ -346,6 +347,18 @@ def test_only_liecore_touches_the_memo_dict():
         if p.name != "liecore.py" and "_cache" in p.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def test_only_liecore_reads_the_bracket_table():
+    # other modules go through bracket_basis and bracket, so the table's
+    # layout stays liecore's own
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_table":
+                readers.add(path.stem)
+    assert readers <= {"liecore"}
 
 
 # -- serialization ----------------------------------------------------------

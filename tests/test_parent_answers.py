@@ -4,7 +4,9 @@ against the paths they replaced.
 ``L.series(kind, S)``, ``L.is_solvable(S)``, ``L.is_nilpotent(S)`` and
 ``Lattice.maximal_below(K)`` answer from L's own series and lattice index;
 the oracles build the restricted algebra ``L.restrict(S)`` and map its
-answers back.  ``is_supersolvable`` over GF(p) recurses on a
+answers back.  ``find_c_witness`` walks every subalgebra and accepts the
+first splitting ideal; the oracle walks ``ideals_of(L)``, as the search did
+before.  ``is_supersolvable`` over GF(p) recurses on a
 one-dimensional minimal ideal; the oracle scans every line of L for an
 ideal, as the recursion did before.
 """
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import lieideals
+import lieideals.ideals
 from lieideals.corpus import (
     _sum_built,
     abelian,
@@ -25,8 +28,8 @@ from lieideals.corpus import (
 )
 from lieideals.errors import NotASubalgebraError
 from lieideals.exactfield import GF
-from lieideals.ideals import ideals_of, lattice
-from lieideals.liecore import DERIVED, LOWER_CENTRAL
+from lieideals.ideals import core, find_c_witness, ideals_of, lattice
+from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.linspace import MASK_LIMIT, mat_vec, projective_points, vec_scale
 from lieideals.structure import is_supersolvable, maximal_subalgebras
 from lieideals.verify import default_corpus
@@ -96,6 +99,57 @@ def test_only_searches_build_a_restricted_algebra():
         ("verify.check_lemma_2_4_3", False),
         ("structure._case_ii_split", True),
     }
+
+
+def _cold(L):
+    """A copy of L with nothing memoized."""
+    return LieAlgebra.from_json(L.to_json())
+
+
+def _brute_is_ideal(L, S):
+    return all(L.bracket(x, s) in S for x in L.full_space().rows for s in S.rows)
+
+
+def _first_splitting_ideal(L, B):
+    """The c-ideal search as it was: the first C in ideals_of(L) that splits
+    B over its core."""
+    splits = lattice(L).splits(B, core(L, B))
+    least = L.dim - B.dim
+    return next((C for C in ideals_of(L) if C.dim >= least and splits(C)), None)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_c_witness_matches_the_walk_over_ideals(name):
+    L = ALGEBRAS[name]
+    subs = lattice(L).subalgebras
+    expected = [_first_splitting_ideal(L, B) for B in subs]
+    warm = _cold(L)
+    ideals_of(warm)
+    for A in (_cold(L), warm):
+        for B, C in zip(subs, expected):
+            cert = find_c_witness(A, B)
+            assert (None if cert is None else cert.C) == C, B.basis_strings()
+            assert cert is None or cert.core_B == core(A, B)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_is_ideal_matches_brute_force_cold_and_warm(name):
+    L = _cold(ALGEBRAS[name])
+    subs = lattice(L).subalgebras
+    expected = [_brute_is_ideal(L, S) for S in subs]
+    for _ in range(2):
+        assert [L.is_ideal(S) for S in subs] == expected
+
+
+def test_a_cold_c_ideal_search_never_lists_the_ideals(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("find_c_witness called ideals_of")
+
+    monkeypatch.setattr(lieideals.ideals, "ideals_of", refuse)
+    for L in ALGEBRAS.values():
+        L = _cold(L)
+        for B in lattice(L).subalgebras:
+            find_c_witness(L, B)
 
 
 def test_a_non_subalgebra_has_no_series():
