@@ -6,6 +6,7 @@ in B).  Searches return certificate objects that can be re-validated from
 scratch, so soundness never rests on the search machinery.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import NotASubalgebraError, NotContainedError
@@ -14,10 +15,12 @@ from .linspace import (
     MASK_LIMIT,
     Subspace,
     annihilator,
+    check_enumeration,
     closure,
     element_mask,
     enumerate_subspaces,
     full_subspace,
+    zero_subspace,
 )
 
 
@@ -30,6 +33,16 @@ class Lattice:
     the containment and split tests that the witness searches and the
     lattice checks run over them.
 
+    The subalgebras are filtered layer by layer, one layer per dimension,
+    and each layer only as far as a reader has asked.  A witness search
+    walks up from its least dimension and stops at its first witness;
+    ``subalgebras`` reads every layer to the end.  A layer keeps the
+    subalgebras found so far, the number of subspaces tested and whether it
+    is done.  A walk past that prefix restarts the layer's enumeration and
+    skips the tested subspaces, so no enumerator outlives its walk.  The
+    budget gate counts every subspace of every dimension when the lattice
+    is made.
+
     Over GF(q) with q^n <= MASK_LIMIT a test reads element masks
     (:func:`~lieideals.linspace.element_mask`), each made the first time a
     test needs it: S <= T is ``m_S & ~m_T == 0`` and dim(B ∩ C) is log_q
@@ -37,16 +50,62 @@ class Lattice:
     limit the same tests run on the Subspace operators.
     """
 
-    def __init__(self, field, n, subalgebras):
-        self.subalgebras = subalgebras
-        self._q = field.characteristic()
-        self._n = n
+    __slots__ = ("_field", "_n", "_q", "_is_subalgebra", "_layers", "_all", "_masks")
+
+    def __init__(self, L, budget):
+        check_enumeration(L.field, L.dim, budget)
+        self._field = L.field
+        self._n = n = L.dim
+        self._q = L.field.characteristic()
+        # L's memo holds the lattice, so the lattice must not hold L
+        self._is_subalgebra = L.detached().is_subalgebra
+        self._layers = [None] * (n + 1)
+        self._all = None
         self._masks = {} if self._q**n <= MASK_LIMIT else None
 
+    def layer(self, k):
+        """The subalgebras of dimension k, in order, filtered as they are
+        read."""
+        state = self._layers[k]
+        if state is None:
+            state = self._layers[k] = _Layer()
+        found = state.found
+        i, source, at = 0, None, None
+        while i < len(found) or not state.done:
+            if i < len(found):
+                yield found[i]
+                i += 1
+                continue
+            if at != state.tested:
+                # the first read past the prefix, or another walk moved it on
+                at = state.tested
+                source = itertools.islice(
+                    enumerate_subspaces(self._field, self._n, k, budget=None), at, None)
+            S = next(source, None)
+            if S is None:
+                state.done = True
+            else:
+                at = state.tested = at + 1
+                if self._is_subalgebra(S):
+                    found.append(S)
+
+    def walk(self, lo=0):
+        """The subalgebras of dimension lo and up, in canonical order."""
+        for k in range(lo, self._n + 1):
+            yield from self.layer(k)
+
+    @property
+    def subalgebras(self):
+        """Every subalgebra, in canonical order."""
+        if self._all is None:
+            self._all = list(self.walk())
+        return self._all
+
     def _mask(self, S):
-        m = self._masks.get(S.rows)
+        m = self._masks.get(S)
         if m is None:
-            m = self._masks[S.rows] = element_mask(S)
+            S.check_compatible(zero_subspace(self._field, self._n))
+            m = self._masks[S] = element_mask(S)
         return m
 
     def containing(self, B):
@@ -98,16 +157,20 @@ class Lattice:
         return test
 
 
+class _Layer:
+    """How far one layer of a :class:`Lattice` has been filtered."""
+
+    __slots__ = ("found", "tested", "done")
+
+    def __init__(self):
+        self.found = []
+        self.tested = 0
+        self.done = False
+
+
 def lattice(L, budget=DEFAULT_BUDGET):
     """The :class:`Lattice` of L's subalgebras."""
-    def build():
-        return Lattice(L.field, L.dim, [
-            S
-            for S in enumerate_subspaces(L.field, L.dim, budget=budget)
-            if L.is_subalgebra(S)
-        ])
-
-    return L.memo("lattice", build, budget)
+    return L.memo("lattice", lambda: Lattice(L, budget), budget)
 
 
 def subalgebras(L, budget=DEFAULT_BUDGET):
@@ -332,9 +395,9 @@ def _first_witness(L, B, kind, budget, certify):
         lat = lattice(L, budget)
         core_B = core(L, B)
         splits = lat.splits(B, core_B)
-        least = L.dim - B.dim
-        for C in lat.subalgebras:
-            if C.dim >= least and splits(C):
+        # L = B + C needs dim C >= n - dim B
+        for C in lat.walk(L.dim - B.dim):
+            if splits(C):
                 cert = certify(C, core_B)
                 if cert is not None:
                     return cert
@@ -375,9 +438,8 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
     Bq = smap.project_subspace(B)
     lat = lattice(Lq, budget)
     complements = lat.splits(Bq, Lq.zero_space())
-    for Kq in lat.subalgebras:
-        if Bq.dim + Kq.dim != Lq.dim:
-            continue  # complements meet trivially, so dimensions add up
+    # complements meet trivially, so dimensions add up
+    for Kq in lat.layer(Lq.dim - Bq.dim):
         if not complements(Kq):
             continue
         if subideal_chain(Lq, Kq) is None:

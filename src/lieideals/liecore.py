@@ -43,6 +43,8 @@ class LieAlgebra:
     coordinate vector of [e_i, e_j]; missing pairs bracket to zero.
     """
 
+    __slots__ = ("field", "dim", "_table", "_zero", "labels", "_ad", "_cache", "__weakref__")
+
     def __init__(self, field, dim, brackets, labels=None, check=True):
         self.field = field
         self.dim = dim
@@ -148,12 +150,21 @@ class LieAlgebra:
         return span(self.field, self.dim, vectors)
 
     def product_space(self, A, B):
-        """Span of all brackets [a, b] over basis pairs of A and B."""
-        vectors = [self.bracket(a, b) for a in A.rows for b in B.rows]
+        """Span of all brackets [a, b] over basis pairs of A and B.  The
+        bracket is alternating, so [A, A] needs each unordered pair once."""
+        if A == B:
+            rows = A.rows
+            vectors = [self.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1:]]
+        else:
+            vectors = [self.bracket(a, b) for a in A.rows for b in B.rows]
         return span(self.field, self.dim, vectors)
 
     def is_subalgebra(self, S):
-        return self.product_space(S, S) <= S
+        """Whether S is bracket-closed: each unordered pair of basis rows is
+        bracketed once, up to the first bracket outside S."""
+        self.zero_space().check_compatible(S)
+        rows = S.rows
+        return all(self.bracket(a, b) in S for i, a in enumerate(rows) for b in rows[i + 1:])
 
     def is_ideal(self, S):
         return self.memo(
@@ -277,6 +288,16 @@ class LieAlgebra:
         return LieAlgebra(self.field, m, brackets, check=False), smap
 
     # -- misc ---------------------------------------------------------------
+
+    def detached(self):
+        """This algebra's structure constants in a new algebra with an empty
+        memo of its own.  A value in this algebra's memo that needs the
+        brackets holds the copy: holding the algebra would make a cycle."""
+        twin = object.__new__(LieAlgebra)
+        for name in ("field", "dim", "_table", "_zero", "labels"):
+            setattr(twin, name, getattr(self, name))
+        twin._ad, twin._cache = None, {}
+        return twin
 
     def memo(self, key, thunk, budget=None):
         """``thunk()``, computed once per algebra and key.

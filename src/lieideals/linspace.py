@@ -252,7 +252,8 @@ class Subspace:
     def is_full(self):
         return len(self.rows) == self.ambient
 
-    def _check_compatible(self, other):
+    def check_compatible(self, other):
+        """Raise unless other is a subspace of the same space as self."""
         self.field.check_same(other.field)
         if self.ambient != other.ambient:
             raise AmbientMismatchError(
@@ -271,18 +272,18 @@ class Subspace:
         return vec_is_zero(self.field, self.reduce(v))
 
     def __le__(self, other):
-        self._check_compatible(other)
+        self.check_compatible(other)
         if self.dim > other.dim:
             return False
         return all(v in other for v in self.rows)
 
     def __add__(self, other):
-        self._check_compatible(other)
+        self.check_compatible(other)
         return Subspace(self.field, self.ambient, self.rows + other.rows)
 
     def __and__(self, other):
         """Intersection via the kernel of the stacked bases."""
-        self._check_compatible(other)
+        self.check_compatible(other)
         stacked = self.rows + other.rows
         if not stacked:
             return self
@@ -484,37 +485,45 @@ def check_enumeration(field, n, budget, dims=None):
             raise BudgetExceededError(total, budget)
 
 
+def _echelon_rows(field, n, k, pivot_cols):
+    """The k-row RREF bases of GF(q)^n whose pivots lie in ``pivot_cols``
+    (increasing columns), in lexicographic order of the row tuples.
+
+    Row 0 comes first: a later pivot means more leading zeros, so its pivot
+    runs from the last candidate column down, and its entries after the
+    pivot run in lexicographic order.  The other rows are the (k-1)-row
+    bases that pivot only at later columns where row 0 is zero.
+    """
+    if k == 0:
+        yield ()
+        return
+    elements = field.elements()
+    for i in range(len(pivot_cols) - k, -1, -1):
+        p = pivot_cols[i]
+        head = (field.zero,) * p + (field.one,)
+        for tail in itertools.product(elements, repeat=n - p - 1):
+            row = head + tail
+            later = tuple(c for c in pivot_cols[i + 1:] if not row[c])
+            if len(later) >= k - 1:
+                for rows in _echelon_rows(field, n, k - 1, later):
+                    yield (row,) + rows
+
+
 def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
     """Yield every subspace of GF(q)^n exactly once, in canonical order.
 
     Order is by dimension, then lexicographic on the RREF basis matrix.
-    Bases are generated directly per pivot-column pattern, so there are no
-    duplicates and the cost is linear in the output.
+    Bases are generated directly in that order, so nothing is sorted or
+    held back: the first subspaces of a dimension cost only themselves.
     """
     dims = _normalize_dims(n, dim_filter)
     check_enumeration(field, n, budget, dims)
-    elements = list(field.elements())
+    shared = {}  # one pivots tuple per pattern, as rows share their row tuples
     for k in dims:
-        batch = []
-        for pivots in itertools.combinations(range(n), k):
-            pivot_set = set(pivots)
-            free = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivot_set
-            ]
-            template = [[field.zero] * n for _ in range(k)]
-            for r, p in enumerate(pivots):
-                template[r][p] = field.one
-            for values in itertools.product(elements, repeat=len(free)):
-                rows = [row[:] for row in template]
-                for (r, c), v in zip(free, values):
-                    rows[r][c] = v
-                batch.append((tuple(tuple(row) for row in rows), pivots))
-        batch.sort()
-        for rows, pivots in batch:
-            yield Subspace._trusted(field, n, rows, pivots)
+        for rows in _echelon_rows(field, n, k, tuple(range(n))):
+            # a row's first nonzero entry is its pivot's 1
+            pivots = tuple(row.index(field.one) for row in rows)
+            yield Subspace._trusted(field, n, rows, shared.setdefault(pivots, pivots))
 
 
 def projective_points(field, n):

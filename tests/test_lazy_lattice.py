@@ -1,0 +1,227 @@
+"""The lazily filtered lattice and its two building blocks, against the
+plain paths they replaced.
+
+``enumerate_subspaces`` generates the canonical order directly; the oracle
+builds every RREF basis of a dimension per pivot pattern and sorts them.
+``LieAlgebra.is_subalgebra`` brackets each unordered pair of basis rows up
+to the first bracket outside S; the oracle spans every ordered product.
+``Lattice`` filters each layer only as far as a walk reads it; the oracle
+filters every subspace at once.
+"""
+
+import ast
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+import lieideals
+from lieideals.corpus import heisenberg, two_dim_nonabelian
+from lieideals.errors import AmbientMismatchError, FieldMismatchError
+from lieideals.exactfield import GF
+from lieideals.ideals import Lattice, lattice
+from lieideals.linspace import (
+    DEFAULT_BUDGET,
+    Subspace,
+    enumerate_subspaces,
+    zero_subspace,
+)
+
+from test_parent_answers import ALGEBRAS
+
+PACKAGE = Path(lieideals.__file__).resolve().parent
+
+
+def batch_and_sort(field, n, dims):
+    """Every subspace of the given dimensions as ``(rows, pivots)``: the
+    RREF bases of each pivot pattern with every value in the free cells,
+    sorted per dimension."""
+    elements = list(field.elements())
+    out = []
+    for k in dims:
+        batch = []
+        for pivots in itertools.combinations(range(n), k):
+            free = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, n)
+                if c not in pivots
+            ]
+            for values in itertools.product(elements, repeat=len(free)):
+                rows = [[field.zero] * n for _ in range(k)]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = field.one
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                batch.append((tuple(map(tuple, rows)), pivots))
+        out.extend(sorted(batch))
+    return out
+
+
+def closed_by_all_products(L, S):
+    return L.span([L.bracket(a, b) for a in S.rows for b in S.rows]) <= S
+
+
+def _dim_filters(n):
+    return [None, *range(n + 1), [0, n], list(range(n, -1, -2))]
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (3, 5), (5, 3)])
+def test_enumeration_matches_the_batch_and_sort_oracle(q, n):
+    f = GF(q)
+    for dim_filter in _dim_filters(n):
+        dims = range(n + 1) if dim_filter is None else sorted(
+            {dim_filter} if isinstance(dim_filter, int) else set(dim_filter))
+        got = [(S.rows, S.pivots) for S in enumerate_subspaces(f, n, dim_filter)]
+        assert got == batch_and_sort(f, n, dims), dim_filter
+
+
+def _every_subspace(L):
+    return list(enumerate_subspaces(L.field, L.dim, budget=None))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_is_subalgebra_and_product_space_match_every_ordered_product(name):
+    L = ALGEBRAS[name]
+    for S in _every_subspace(L):
+        assert L.is_subalgebra(S) == closed_by_all_products(L, S)
+        assert L.product_space(S, S) == L.span(
+            [L.bracket(a, b) for a in S.rows for b in S.rows])
+
+
+def _foreign(L, k):
+    return Subspace(GF(2), L.dim, [tuple(int(i == j) for i in range(L.dim)) for j in range(k)])
+
+
+def _wrong_ambient(L, k):
+    n = L.dim + 1
+    return Subspace(L.field, n, [tuple(int(i == j) for i in range(n)) for j in range(k)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "other,error",
+    [(_foreign, FieldMismatchError), (_wrong_ambient, AmbientMismatchError)],
+    ids=["foreign-field", "wrong-ambient"],
+)
+def test_is_subalgebra_rejects_other_spaces_at_every_dimension(k, other, error):
+    # the pairwise loop brackets nothing below dimension 2, so the checks
+    # come first, warm or cold
+    L = heisenberg(GF(3)).algebra
+    S = other(L, k)
+    with pytest.raises(error):
+        L.is_subalgebra(S)
+    assert L.is_subalgebra(L.zero_space()) and L.is_subalgebra(L.span([(0, 0, 1)]))
+    with pytest.raises(error):
+        L.is_subalgebra(S)
+
+
+def _eager(L):
+    return [S for S in _every_subspace(L) if closed_by_all_products(L, S)]
+
+
+def _cold(L):
+    return Lattice(L, DEFAULT_BUDGET)
+
+
+def _walks_match(lat, L, eager):
+    for k in range(L.dim + 2):
+        assert list(lat.walk(k)) == [S for S in eager if S.dim >= k], k
+    assert lat.subalgebras == eager
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_lazy_walks_match_the_eager_filter(name):
+    L = ALGEBRAS[name]
+    eager = _eager(L)
+    for k in range(L.dim + 1):
+        lat = _cold(L)
+        assert list(lat.walk(k)) == [S for S in eager if S.dim >= k]
+        assert list(lat.layer(k)) == [S for S in eager if S.dim == k]
+    # walks abandoned at seeded points, then every walk read to the end
+    rng = random.Random(name)
+    for _ in range(3):
+        lat = _cold(L)
+        for _ in range(6):
+            walk = lat.walk(rng.randrange(L.dim + 1))
+            for _ in itertools.islice(walk, rng.randrange(len(eager) + 1)):
+                pass
+        _walks_match(lat, L, eager)
+    # two walks interleaved on one layer, each moving the other's prefix on
+    for k in range(L.dim + 1):
+        lat = _cold(L)
+        layer = [S for S in eager if S.dim == k]
+        walks, seen = [lat.layer(k), lat.layer(k)], [[], []]
+        live = [0, 1]
+        while live:
+            w = rng.choice(live)
+            S = next(walks[w], None)
+            if S is None:
+                live.remove(w)
+            else:
+                seen[w].append(S)
+        assert seen == [layer, layer]
+        _walks_match(lat, L, eager)
+
+
+def test_the_lattice_is_the_one_caller_of_the_enumerator():
+    # every subalgebra list comes from the lattice's layers
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                for child in ast.walk(node):
+                    scopes.setdefault(child, []).append(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "enumerate_subspaces":
+                    callers.add((path.stem, ".".join(scopes.get(node, []))))
+    assert callers == {("ideals", "Lattice.layer")}
+
+
+# -- masks keyed on the subspace, not its rows ------------------------------
+
+LATTICE_QUERIES = {
+    "containing": lambda lat, S: lat.containing(S),
+    "inside": lambda lat, S: lat.inside(S),
+    "maximal_below": lambda lat, S: lat.maximal_below(S),
+    "splits": lambda lat, S: [C for C in lat.subalgebras if lat.splits(S, S)(C)],
+}
+
+
+def _native_and_other(L, case):
+    if case == "foreign-field":
+        last = tuple(int(i == L.dim - 1) for i in range(L.dim))
+        return L.span([last]), Subspace(GF(2), L.dim, [last]), FieldMismatchError
+    return L.zero_space(), zero_subspace(L.field, L.dim + 1), AmbientMismatchError
+
+
+@pytest.mark.parametrize("query", sorted(LATTICE_QUERIES))
+@pytest.mark.parametrize("case", ["foreign-field", "wrong-ambient-zero"])
+@pytest.mark.parametrize(
+    "build", [lambda: heisenberg(GF(3)), lambda: two_dim_nonabelian(GF(67))],
+    ids=["masks", "operators"],
+)
+@pytest.mark.parametrize("native_first", [True, False], ids=["native-first", "other-first"])
+def test_lattice_answers_do_not_depend_on_call_history(query, case, build, native_first):
+    # a GF(2) subspace has the rows of a GF(3) one, and every zero subspace
+    # has no rows: a mask made for one must not answer for the other
+    ask = LATTICE_QUERIES[query]
+    L = build().algebra
+    native, other, error = _native_and_other(L, case)
+    assert other.rows == native.rows
+    lat = lattice(L)
+    expected = ask(Lattice(L, DEFAULT_BUDGET), native)
+    if native_first:
+        ask(lat, native)
+    with pytest.raises(error):
+        ask(lat, other)
+    assert ask(lat, native) == expected
+    with pytest.raises(error):
+        ask(lat, other)
+

@@ -31,6 +31,7 @@ from lieideals.errors import (
     NotContainedError,
 )
 from lieideals.exactfield import GF, QQ
+from lieideals.ideals import find_weak_c_witness, lattice
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.linspace import unit_vector
 
@@ -325,13 +326,16 @@ def test_restrict_is_cached_per_subspace():
 
 
 def test_a_restricted_algebra_is_freed_without_the_cycle_collector():
-    # the memo keeps each section with its map, so a map pointing back at
-    # its ambient algebra would leave every section as cyclic garbage
+    # the memo keeps each section with its map, and the lattice a witness
+    # search left half-walked, so either pointing back at its algebra
+    # would leave the algebra as cyclic garbage
     gc.disable()
     try:
         L = heis(GF(3))
         L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
         L.quotient(L.center())
+        assert find_weak_c_witness(L, L.span([(1, 0, 0)])) is not None
+        assert not all(layer and layer.done for layer in lattice(L)._layers)
         ref = weakref.ref(L)
         del L
         assert ref() is None
