@@ -194,6 +194,18 @@ def cmd_verify(args, out=None, err=None):
     return report.exit_code
 
 
+class _Budget(argparse.Action):
+    """``--budget N`` with N at least 0.  A negative budget is a usage
+    error whatever the question, not a refusal that only the questions
+    reaching a budget gate would give."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.exit(2, f"{parser.prog}: error: {option_string} must be at least 0, "
+                           f"got {value}\n")
+        setattr(namespace, self.dest, value)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="lieideals",
@@ -206,12 +218,12 @@ def _build_parser():
     c.add_argument("--predicate", required=True, choices=PREDICATES)
     c.add_argument("--subspace", default=None, metavar="NAME")
     c.add_argument("--witness", default=None, metavar="FILE")
-    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    c.add_argument("--budget", type=int, default=DEFAULT_BUDGET, action=_Budget)
     c.set_defaults(fn=cmd_check)
 
     lat = sub.add_parser("lattice", help="report flags and subalgebra lattice data")
     lat.add_argument("file")
-    lat.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    lat.add_argument("--budget", type=int, default=DEFAULT_BUDGET, action=_Budget)
     lat.set_defaults(fn=cmd_lattice)
 
     s = sub.add_parser("series", help="print a descending series")

@@ -36,6 +36,10 @@ LOWER_CENTRAL = "lower-central"
 _MISSING = object()  # a memo miss; None is a memoized answer
 
 
+def _default_labels(dim):
+    return tuple(f"e{i+1}" for i in range(dim))
+
+
 class LieAlgebra:
     """A finite-dimensional Lie algebra over an exact field.
 
@@ -61,9 +65,7 @@ class LieAlgebra:
                 table[(i, j)] = v
         self._table = table
         self._zero = zero_vector(field, dim)
-        if labels is None:
-            labels = tuple(f"e{i+1}" for i in range(dim))
-        self.labels = tuple(labels)
+        self.labels = _default_labels(dim) if labels is None else tuple(labels)
         self._ad = None
         self._cache = {}
         if check:
@@ -243,7 +245,11 @@ class LieAlgebra:
     def quotient(self, I):
         """The pair ``(L/I, smap)`` for an ideal I: the quotient algebra, in
         the coordinates of the :class:`SectionMap` ``smap`` of L/I, which
-        projects vectors and subspaces of L onto it and lifts them back."""
+        projects vectors and subspaces of L onto it and lifts them back.
+        L/0 is L itself on a new object that shares L's memo (``_whole``)."""
+        if I.is_zero() and I == self.zero_space():
+            return self._whole()
+
         def build():
             if not self.is_subalgebra(I):
                 raise NotAnIdealError("quotient by a subspace that is not a subalgebra")
@@ -266,13 +272,26 @@ class LieAlgebra:
         :class:`SectionMap` ``smap`` of K/0, for a search that needs K as an
         algebra.  Questions about K that L can answer in its own coordinates
         (``series``, ``is_solvable``, ``is_nilpotent``,
-        ``ideals.Lattice.maximal_below``) need no restriction."""
+        ``ideals.Lattice.maximal_below``) need no restriction.  K = L is L
+        itself on a new object that shares L's memo (``_whole``)."""
+        if K.is_full() and K == self.full_space():
+            return self._whole()
+
         def build():
             if not self.is_subalgebra(K):
                 raise NotASubalgebraError("restriction target is not bracket-closed")
             return self._section(K, self.zero_space())
 
         return self.memo(("restrict", K), build)
+
+    def _whole(self):
+        """L as its own section L/0, with the identity map: L's structure
+        constants under the default labels, reading and filling L's memo,
+        so a search on it is a search on L.  Each call makes a new one, as
+        L's memo cannot hold what holds that memo: the cycle would leave L
+        for the cycle collector."""
+        smap = SectionMap(self.full_space(), self.zero_space())
+        return self._twin(self._cache, _default_labels(self.dim)), smap
 
     def _section(self, K, I):
         """The section K/I, for an ideal I of a subalgebra K, with its map.
@@ -293,10 +312,15 @@ class LieAlgebra:
         """This algebra's structure constants in a new algebra with an empty
         memo of its own.  A value in this algebra's memo that needs the
         brackets holds the copy: holding the algebra would make a cycle."""
+        return self._twin({}, self.labels)
+
+    def _twin(self, cache, labels):
+        """A new algebra on this one's structure constants, with the given
+        memo dict and labels."""
         twin = object.__new__(LieAlgebra)
-        for name in ("field", "dim", "_table", "_zero", "labels"):
+        for name in ("field", "dim", "_table", "_zero"):
             setattr(twin, name, getattr(self, name))
-        twin._ad, twin._cache = None, {}
+        twin.labels, twin._ad, twin._cache = labels, None, cache
         return twin
 
     def memo(self, key, thunk, budget=None):

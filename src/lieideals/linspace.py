@@ -216,9 +216,10 @@ def closure(field, n, seeds, images):
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of coordinate n-space in canonical RREF form."""
+    """A subspace of coordinate n-space in canonical RREF form.  It is never
+    changed once built, so its hash is computed once, by the constructor."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_hash")
 
     def __init__(self, field, ambient, vectors):
         for v in vectors:
@@ -231,6 +232,7 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._hash = hash((field, ambient, rows))
 
     @classmethod
     def _trusted(cls, field, ambient, rows, pivots):
@@ -240,6 +242,7 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._hash = hash((field, ambient, rows))
         return self
 
     @property
@@ -303,7 +306,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.rows))
+        return self._hash
 
     def sort_key(self):
         return (self.dim, self.rows)

@@ -333,6 +333,28 @@ def test_budget_reason_for_a_count_too_long_to_print(tmp_path, capsys, argv):
     assert reason == "enumeration needs at least 10^6774 subspaces, budget is 1000000"
 
 
+def test_check_rejects_a_negative_budget_before_any_question(capsys):
+    # the answer must not depend on whether an enumeration gate is reached:
+    # supersolvability of P never enumerates, the weak c-ideal search does
+    heis = str(DATA / "heis.alg")
+    for predicate, name in (("supersolvable", "P"), ("weak-c-ideal", "Z")):
+        code, out, err = run(capsys, "check", heis, "--predicate", predicate,
+                             "--subspace", name, "--budget", "-5")
+        assert (code, out) == (2, "")
+        assert err == "lieideals check: error: --budget must be at least 0, got -5\n"
+    code, out, _ = run(capsys, "check", heis, "--predicate", "supersolvable",
+                       "--subspace", "P", "--budget", "0")
+    assert code == 0 and json.loads(out)["verdict"] == "yes"
+
+
+def test_lattice_rejects_a_negative_budget(capsys):
+    code, out, err = run(capsys, "lattice", str(DATA / "heis.alg"), "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "lieideals lattice: error: --budget must be at least 0, got -1\n"
+    code, out, _ = run(capsys, "lattice", str(DATA / "heis.alg"), "--budget", "0")
+    assert code == 3 and "unsupported" in json.loads(out)["lattice"]
+
+
 def test_first_budget_refusal_on_a_large_algebra_is_fast(tmp_path, capsys):
     # the budget gate sums the Gaussian binomials of GF(2)^300 by their
     # ratio recurrence; rebuilding each binomial took about 0.7 s

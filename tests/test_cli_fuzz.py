@@ -3,7 +3,7 @@ and ``--witness`` files.
 
 Whatever the bytes, the front end ends in its exit-code contract (0 for a
 verdict, 2 for a usage or input error, 3 for out of budget) and no
-exception escapes.  Inputs stay short and every declared dimension is at
+exception escapes.  A negative ``--budget`` is always a usage error.  Inputs stay short and every declared dimension is at
 most 4, so no case allocates much or enumerates a large lattice.
 """
 
@@ -90,16 +90,22 @@ def witness_files(draw):
     return data
 
 
+budgets = st.sampled_from([[], ["--budget", "0"], ["--budget", "10"], ["--budget", "50"]]) | (
+    st.integers(-60, -1).map(lambda b: ["--budget", str(b)]))
 argvs = (
     st.tuples(
         st.just("check"),
         st.sampled_from(PREDICATES),
         st.sampled_from([[], ["--subspace", "S"], ["--subspace", "T"], ["--subspace", "Z"]]),
-        st.sampled_from([[], ["--budget", "0"], ["--budget", "50"]]),
+        budgets,
     ).map(lambda t: [t[0], "--predicate", t[1]] + t[2] + t[3])
-    | st.sampled_from([["lattice"], ["lattice", "--budget", "10"]])
+    | budgets.map(lambda b: ["lattice"] + b)
     | st.sampled_from([["series", "--kind", "derived"], ["series", "--kind", "lower-central"]])
 )
+
+
+def _negative_budget(argv):
+    return "--budget" in argv and int(argv[argv.index("--budget") + 1]) < 0
 
 
 def _run(argv):
@@ -118,10 +124,13 @@ FUZZ = settings(
 @example(data=b"field GF(2)\ndim 1\n\xff\xfe\n", argv=["check", "--predicate", "nilpotent"])
 @example(data=b"preset\n", argv=["lattice"])
 @example(data="field GF(2)\ndim ²\n".encode(), argv=["check", "--predicate", "nilpotent"])
+@example(data=b"field GF(2)\npreset heisenberg()\n", argv=["lattice", "--budget", "-1"])
 def test_malformed_documents_end_in_an_exit_code(tmp_path_factory, data, argv):
     path = tmp_path_factory.getbasetemp() / "fuzz.alg"
     path.write_bytes(data)
-    assert _run([argv[0], str(path), *argv[1:]]) in {0, 2, 3}
+    code = _run([argv[0], str(path), *argv[1:]])
+    # a negative budget is a usage error, whether or not the document parses
+    assert code == 2 if _negative_budget(argv) else code in {0, 2, 3}
 
 
 HEIS = "field GF(2)\ndim 3\n[e1,e2] = e3\nsubspace Z = span(e3)\nsubspace W = span(e1)\n"

@@ -328,13 +328,16 @@ def test_restrict_is_cached_per_subspace():
 def test_a_restricted_algebra_is_freed_without_the_cycle_collector():
     # the memo keeps each section with its map, and the lattice a witness
     # search left half-walked, so either pointing back at its algebra
-    # would leave the algebra as cyclic garbage
+    # would leave the algebra as cyclic garbage; the whole-algebra
+    # sections fill L's memo, which must not hold them
     gc.disable()
     try:
         L = heis(GF(3))
         L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
         L.quotient(L.center())
         assert find_weak_c_witness(L, L.span([(1, 0, 0)])) is not None
+        for whole, _ in (L.restrict(L.full_space()), L.quotient(L.zero_space())):
+            assert find_weak_c_witness(whole, L.span([(0, 1, 0)])) is not None
         assert not all(layer and layer.done for layer in lattice(L)._layers)
         ref = weakref.ref(L)
         del L

@@ -2,13 +2,16 @@
 oracles, subspace enumeration counts against Gaussian binomials and
 against a brute-force span collection, solvers, quotient maps."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lieideals
 from lieideals.errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -148,6 +151,88 @@ def test_subspace_equality_under_shuffle_and_rescale(p, n, rng):
     T = span(f, n, scaled)
     assert S == T
     assert hash(S) == hash(T)
+
+
+def test_every_constructor_hashes_a_subspace_alike():
+    # the hash is computed once, by Subspace.__init__ or Subspace._trusted,
+    # whichever way the subspace was built
+    f, n = GF(3), 3
+    units = [unit_vector(f, n, i) for i in range(n)]
+    basis = EchelonBasis(f, n)
+    for v in [(1, 1, 0), (0, 2, 0), (0, 1, 1)]:
+        basis.add(v)
+    whole = [
+        Subspace(f, n, [(1, 1, 0), (0, 2, 0), (2, 0, 1)]),
+        Subspace._trusted(f, n, tuple(units), (0, 1, 2)),
+        basis.subspace(),
+        Subspace.from_basis_strings(f, n, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]),
+        full_subspace(f, n),
+    ]
+    line = [
+        Subspace(f, n, [(0, 2, 1)]),
+        Subspace._trusted(f, n, ((0, 1, 2),), (1,)),
+        span(f, n, [(0, 1, 2), (0, 2, 1)]),
+        Subspace.from_basis_strings(f, n, [["0", "1", "2"]]),
+        next(S for S in enumerate_subspaces(f, n, 1) if S.rows == ((0, 1, 2),)),
+    ]
+    for same in (whole, line):
+        rows = same[0].rows
+        assert all(S == same[0] for S in same)
+        assert {hash(S) for S in same} == {hash((f, n, rows))}
+        assert len(set(same)) == 1
+
+
+def _assigned_attributes(node):
+    """The attribute nodes that an assignment target writes into."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        for elt in node.elts:
+            yield from _assigned_attributes(elt)
+    elif isinstance(node, ast.Starred):
+        yield from _assigned_attributes(node.value)
+    elif isinstance(node, ast.Subscript):
+        yield from _assigned_attributes(node.value)
+    elif isinstance(node, ast.Attribute):
+        yield node
+
+
+def _rows_writers(tree, module):
+    """Module.Class.function for every write to a .rows or .pivots: an
+    assignment, an item assignment, a method call on it, or setattr."""
+    out = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+        written = [a.attr for t in targets for a in _assigned_attributes(t)]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute):
+                written.append(func.value.attr)
+            if (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                written.append(node.args[1].value)
+        if any(name in ("rows", "pivots") for name in written):
+            out.add(".".join((module,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_only_the_constructors_write_rows_or_pivots():
+    # a Subspace's hash is computed once, which is sound only while no
+    # subspace changes after it is built; EchelonBasis is the mutable
+    # accumulator and owns its lists
+    writers = set()
+    for path in sorted(Path(lieideals.__file__).parent.glob("*.py")):
+        writers |= _rows_writers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    allowed = {"linspace.Subspace.__init__", "linspace.Subspace._trusted"}
+    assert allowed <= writers
+    assert {w for w in writers if not w.startswith("linspace.EchelonBasis.")} == allowed
 
 
 def test_span_membership_against_brute_force_gf2():
