@@ -1,4 +1,4 @@
-"""Exact scalars over GF(p) and over the rationals.
+"""Exact scalars and coordinate vectors over GF(p) and over the rationals.
 
 Scalars are native Python numbers: an int residue in ``0..p-1`` over a
 prime field, a :class:`~fractions.Fraction` (or an int) over the rationals.
@@ -7,11 +7,32 @@ through ``field.norm``, which returns the canonical representative, so
 equal field elements always compare equal.  Division goes through
 ``field.inv``.  A field object decides only what differs between GF(p) and
 Q: ``zero``, ``one``, ``norm``, ``inv``, literals and enumeration.
+
+Vectors have two representations under one API, ``field.space(n)``:
+
+- over GF(p) (:class:`PackedSpace`) a vector of F^n is one non-negative
+  int.  Coordinate j sits in a w-bit slot at position n-1-j, with w = 1
+  for p = 2 and w = p.bit_length() + 1 otherwise, so coordinate 0 is the
+  most significant slot and int order is the lexicographic order of the
+  coordinate tuples.  Addition is XOR for p = 2; for odd p a sum of two
+  residues stays inside its slot and one add-and-mask folds it back into
+  ``0..p-1``;
+- over Q (:class:`TupleSpace`) a vector is a tuple of Fractions.
+
+Every slot shift and mask lives in this module and in ``linspace``.  The
+public boundary of the library (``Subspace(field, n, vectors)``,
+``Subspace.rows``, the ``LieAlgebra`` constructor and ``bracket_basis``,
+``span``, ``basis_strings``) speaks coordinate tuples; ``pack`` and
+``unpack`` convert.
 """
 
+import bisect
+import functools
+import itertools
+import operator
 from fractions import Fraction
 
-from .errors import FieldMismatchError, LieIdealsError
+from .errors import AmbientMismatchError, FieldMismatchError, LieIdealsError
 
 MAX_PRIME = 251  # residues fit a byte; enumeration caps are far below this
 
@@ -28,6 +49,367 @@ def is_prime(n: int) -> bool:
     return True
 
 
+
+
+# ---------------------------------------------------------------------------
+# coordinate spaces: the vector kernel
+# ---------------------------------------------------------------------------
+
+TABLE_LIMIT = 2**12  # spaces with at most this many vectors keep an unpack table
+SPARSE_DIM = 64  # spaces of more coordinates read them one at a time
+
+
+class _Coords(dict):
+    """The coordinate tuples of packed vectors, looked up by vector.  A
+    miss checks the vector and unpacks it; in a space of at most
+    TABLE_LIMIT vectors the tuple is kept, so each is unpacked once."""
+
+    __slots__ = ("space", "keep")
+
+    def __init__(self, space):
+        super().__init__()
+        self.space = space
+        self.keep = space.p**space.n <= TABLE_LIMIT
+
+    def __missing__(self, v):
+        space = self.space
+        space.check(v)
+        coords = tuple(v >> s & space.slot for s in space.shifts)
+        if self.keep:
+            self[v] = coords
+        return coords
+
+
+class _Slots:
+    """The coordinates of one packed vector, each read when indexed: in a
+    space of more than SPARSE_DIM coordinates, a sparse bilinear map reads
+    only a few of them."""
+
+    __slots__ = ("v", "shifts", "slot")
+
+    def __init__(self, space, v):
+        space.check(v)
+        self.v, self.shifts, self.slot = v, space.shifts, space.slot
+
+    def __getitem__(self, j):
+        return self.v >> self.shifts[j] & self.slot
+
+
+class _Space:
+    """What the two representations share."""
+
+    def __repr__(self):
+        return f"{self.field}^{self.n}"
+
+    def lin_comb(self, coeffs, vectors):
+        """Sum of ``coeffs[i] * vectors[i]``."""
+        out = self.zero
+        for c, v in zip(coeffs, vectors):
+            if c:
+                out = self.add(out, self.scale(c, v))
+        return out
+
+    def insert(self, vectors, pivots, v):
+        """Add v to the RREF basis ``vectors`` (pivots increasing), in place;
+        True when the span grew."""
+        res = self.reduce(v, vectors, pivots)
+        lead = self.lead(res)
+        if lead is None:
+            return False
+        p, c = lead
+        if c != 1:
+            res = self.scale(self.field.inv(c), res)
+        # the rows above pivot before p; only they can be nonzero at column p
+        pos = bisect.bisect(pivots, p)
+        for i in range(pos):
+            c = self.entry(vectors[i], p)
+            if c:
+                vectors[i] = self.submul(vectors[i], c, res)
+        vectors.insert(pos, res)
+        pivots.insert(pos, p)
+        return True
+
+
+class PackedSpace(_Space):
+    """GF(p)^n, each vector one non-negative int in the slot layout of the
+    module docstring."""
+
+    def __init__(self, field, n):
+        p = field.p
+        w = 1 if p == 2 else p.bit_length() + 1
+        self.field, self.n, self.p, self.width = field, n, p, w
+        self.bits = n * w
+        self.shifts = tuple((n - 1 - j) * w for j in range(n))
+        self.slot = (1 << w) - 1
+        self.mask = (1 << self.bits) - 1
+        self.zero = 0
+        ones = sum(1 << s for s in self.shifts)
+        # a slot sum x < 2p becomes x + 2^(w-1) - p < 2^w, whose top bit is
+        # set exactly when x >= p
+        self._top = w - 1
+        self._bias = ((1 << (w - 1)) - p) * ones
+        self._high = ones << (w - 1)
+        self._pones = p * ones
+        # format() writes one digit per slot for these widths
+        spec = {1: "b", 3: "o", 4: "x"}.get(w)
+        self._format = spec and f"0{n}{spec}"
+        # unpack(v): the coordinate tuple of v, raising AmbientMismatchError
+        # for anything that is not a vector of this space; coords(v): the
+        # same coordinates, read one at a time past SPARSE_DIM coordinates
+        self.unpack = _Coords(self).__getitem__
+        self.coords = self.unpack if n <= SPARSE_DIM else functools.partial(_Slots, self)
+
+    def pack(self, coords):
+        """The vector with the given coordinates (any int representatives)."""
+        p = self.p
+        return sum([(a % p) << s for a, s in zip(coords, self.shifts)])
+
+    def check(self, v):
+        """Raise unless v is a vector of this space."""
+        if type(v) is not int or v < 0 or v >> self.bits:
+            raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
+
+    def unit(self, j):
+        return 1 << self.shifts[j]
+
+    def entry(self, v, j):
+        """Coordinate j of v."""
+        return v >> self.shifts[j] & self.slot
+
+    def lead(self, v):
+        """``(column, entry)`` of the first nonzero coordinate of v, the top
+        nonzero slot, or None for the zero vector."""
+        if not v:
+            return None
+        top = (v.bit_length() - 1) // self.width
+        return self.n - 1 - top, v >> (top * self.width)
+
+    @staticmethod
+    def is_zero(v):
+        return not v
+
+    def add(self, u, v):
+        s = u + v
+        return s - ((s + self._bias & self._high) >> self._top) * self.p
+
+    def sub(self, u, v):
+        s = u + self._pones - v
+        return s - ((s + self._bias & self._high) >> self._top) * self.p
+
+    def neg(self, v):
+        return self.sub(0, v)
+
+    def scale(self, c, v):
+        """c * v, by doubling."""
+        p = self.p
+        c %= p
+        if c == 1:
+            return v
+        if c > p // 2:
+            return self.neg(self.scale(p - c, v))
+        out = 0
+        while c:
+            if c & 1:
+                out = self.add(out, v)
+            c >>= 1
+            if c:
+                v = self.add(v, v)
+        return out
+
+    def submul(self, v, c, row):
+        """v - c * row for a nonzero residue c."""
+        if c == self.p - 1:
+            return self.add(v, row)
+        return self.sub(v, self.scale(c, row))
+
+    def multiples(self, v):
+        """``[0, v, 2v, ..., (p-1)v]``."""
+        out = [0, v]
+        for _ in range(self.p - 2):
+            out.append(self.add(out[-1], v))
+        return out
+
+    def scaler(self, v):
+        """The map c -> c * v, precomputed, for integers c with
+        |c| <= (p-1)^2, so that the coefficients x_i y_j - x_j y_i of a
+        bilinear map need no reduction.  For small p it is a lookup in the
+        multiples repeated past (p-1)^2: a negative index wraps to its
+        residue."""
+        p, mults = self.p, self.multiples(v)
+        reach = (p - 1) ** 2 + 1
+        if reach <= 64:
+            return (mults * -(-reach // p)).__getitem__
+        return lambda c: mults[c % p]
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, self.unpack(u), self.unpack(v))) % self.p
+
+    def reduce(self, v, vectors, pivots):
+        """Residual of v after elimination by an RREF basis."""
+        shifts, m, p = self.shifts, self.slot, self.p
+        bias, high, top, pones = self._bias, self._high, self._top, self._pones
+        for row, col in zip(vectors, pivots):
+            c = v >> shifts[col] & m
+            if c:
+                # v - c row, folded as in add and sub
+                if c == p - 1:
+                    s = v + row
+                else:
+                    s = v + pones - (row if c == 1 else self.scale(c, row))
+                v = s - ((s + bias & high) >> top) * p
+        return v
+
+    def join(self, a, b, other):
+        """The vector (a, b) of F^(n + m), for a in this space and b in
+        other = F^m."""
+        return a << other.bits | b
+
+    def tail(self, v, other):
+        """The last m coordinates of a vector of F^(n + m), other = F^m."""
+        return v & other.mask
+
+    def block(self, start, stop):
+        """Every vector whose nonzero coordinates lie in columns
+        start..stop-1, in increasing order."""
+        if start >= stop:
+            return iter((0,))
+        if self.p == 2:
+            s = self.shifts[stop - 1]
+            return (x << s for x in range(1 << (stop - start)))
+        digits = [[a << self.shifts[j] for a in range(self.p)] for j in range(start, stop)]
+        return map(sum, itertools.product(*digits))
+
+    def code(self, v):
+        """The integer whose base-p digit of p^j is coordinate j of v."""
+        if self._format:
+            return int(format(v, self._format)[::-1], self.p)
+        return sum(a * self.p**j for j, a in enumerate(self.unpack(v)))
+
+
+class GF2Space(PackedSpace):
+    """GF(2)^n: one bit per coordinate, addition is XOR."""
+
+    add = sub = staticmethod(operator.xor)
+
+    @staticmethod
+    def neg(v):
+        return v
+
+    @staticmethod
+    def scale(c, v):
+        return v if c & 1 else 0
+
+    @staticmethod
+    def submul(v, c, row):
+        return v ^ row
+
+    def dot(self, u, v):
+        return (u & v).bit_count() & 1
+
+    def reduce(self, v, vectors, pivots):
+        shifts = self.shifts
+        for row, col in zip(vectors, pivots):
+            if v >> shifts[col] & 1:
+                v ^= row
+        return v
+
+    def insert(self, vectors, pivots, v):
+        # as _Space.insert, by XOR: the lead entry is always 1
+        shifts = self.shifts
+        for row, col in zip(vectors, pivots):
+            if v >> shifts[col] & 1:
+                v ^= row
+        if not v:
+            return False
+        top = v.bit_length() - 1
+        p = self.n - 1 - top
+        pos = bisect.bisect(pivots, p)
+        for i in range(pos):
+            if vectors[i] >> top & 1:
+                vectors[i] ^= v
+        vectors.insert(pos, v)
+        pivots.insert(pos, p)
+        return True
+
+
+class TupleSpace(_Space):
+    """Q^n, each vector a tuple of n Fractions."""
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.zero = (field.zero,) * n
+
+    def pack(self, coords):
+        return tuple(coords)
+
+    def unpack(self, v):
+        self.check(v)
+        return v
+
+    coords = unpack
+
+    def check(self, v):
+        if len(v) != self.n:
+            raise AmbientMismatchError(f"vector of length {len(v)} in ambient dimension {self.n}")
+
+    def unit(self, j):
+        f = self.field
+        return tuple(f.one if i == j else f.zero for i in range(self.n))
+
+    @staticmethod
+    def entry(v, j):
+        return v[j]
+
+    @staticmethod
+    def lead(v):
+        return next(((j, a) for j, a in enumerate(v) if a), None)
+
+    @staticmethod
+    def is_zero(v):
+        return not any(v)
+
+    # zero entries are passed through: Fraction arithmetic costs far more
+    # than the test
+
+    @staticmethod
+    def add(u, v):
+        return tuple([a + b if b else a for a, b in zip(u, v)])
+
+    @staticmethod
+    def neg(v):
+        return tuple([-a if a else a for a in v])
+
+    @staticmethod
+    def scale(c, v):
+        return tuple([c * a if a else a for a in v])
+
+    @staticmethod
+    def submul(v, c, row):
+        return tuple([a - c * b if b else a for a, b in zip(v, row)])
+
+    def scaler(self, v):
+        return lambda c: self.scale(c, v)
+
+    @staticmethod
+    def dot(u, v):
+        return sum([a * b for a, b in zip(u, v) if a and b])
+
+    def reduce(self, v, vectors, pivots):
+        for row, col in zip(vectors, pivots):
+            if v[col]:
+                v = self.submul(v, v[col], row)
+        return v
+
+    @staticmethod
+    def join(a, b, other):
+        return a + b
+
+    @staticmethod
+    def tail(v, other):
+        return v[len(v) - other.n:]
+
+
 class Field:
     """Common interface of :class:`PrimeField` and :class:`RationalField`."""
 
@@ -38,7 +420,15 @@ class Field:
         if self != other:
             raise FieldMismatchError(f"mixed fields: {self} and {other}")
 
-    # Subclasses provide: zero, one, norm, inv, parse, format.
+    def space(self, n: int):
+        """The coordinate space F^n, one object per n."""
+        space = self._spaces.get(n)
+        if space is None:
+            space = self._spaces[n] = self._space_type(self, n)
+        return space
+
+    # Subclasses provide: zero, one, norm, inv, parse, format, _space_type,
+    # and a dict _spaces.
 
 
 class PrimeField(Field):
@@ -53,15 +443,21 @@ class PrimeField(Field):
         self.p = p
         self.zero = 0
         self.one = 1 % p
+        self._hash = hash(("GF", p))
+        self._spaces = {}
+
+    @property
+    def _space_type(self):
+        return GF2Space if self.p == 2 else PackedSpace
 
     def __repr__(self):
         return f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return self._hash
 
     def characteristic(self) -> int:
         return self.p
@@ -95,6 +491,9 @@ class RationalField(Field):
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
+        self._spaces = {}
+
+    _space_type = TupleSpace
 
     def __repr__(self):
         return "Q"
@@ -134,8 +533,16 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+_PRIME_FIELDS = {}
+
+
 def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+    """GF(p), one object per prime, so that equal fields are one object and
+    share their coordinate spaces."""
+    field = _PRIME_FIELDS.get(p) if type(p) is int else None
+    if field is None:
+        field = _PRIME_FIELDS[p] = PrimeField(p)
+    return field
 
 
 def field_from_name(name: str) -> Field:
@@ -148,5 +555,5 @@ def field_from_name(name: str) -> Field:
             p = int(name[3:-1], 10)
         except ValueError:
             raise LieIdealsError(f"bad field name {name!r}") from None
-        return PrimeField(p)
+        return GF(p)
     raise LieIdealsError(f"bad field name {name!r}")

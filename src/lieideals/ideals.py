@@ -20,6 +20,7 @@ from .linspace import (
     element_mask,
     enumerate_subspaces,
     full_subspace,
+    null_vectors,
     zero_subspace,
 )
 
@@ -195,12 +196,13 @@ def core(L, B):
 
     A subspace is ad-invariant exactly when its annihilator is invariant
     under every transposed ad(e_i), so the core is the annihilator of the
-    smallest such subspace that contains the annihilator of B.
+    smallest such subspace that contains the annihilator of B, which
+    ``null_vectors(B)`` spans.
     """
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError("core is defined for subalgebras only")
-        dual = closure(L.field, L.dim, annihilator(B).rows, L.transposed_ad_images)
+        dual = closure(L.field, L.dim, null_vectors(B), L.transposed_ad_images)
         return annihilator(dual)
 
     return L.memo(("core", B), build)
@@ -210,7 +212,7 @@ def ideal_closure(L, B, K):
     """Smallest ideal of the subalgebra K containing B (requires B <= K)."""
     if not B <= K:
         raise NotContainedError("ideal closure needs B contained in K")
-    return closure(L.field, L.dim, B.rows, lambda u: [L.bracket(k, u) for k in K.rows])
+    return closure(L.field, L.dim, B.vecs, lambda u: [L.bracket(k, u) for k in K.vecs])
 
 
 # ---------------------------------------------------------------------------

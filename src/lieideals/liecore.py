@@ -4,6 +4,11 @@ Brackets are stored only for basis pairs i < j; the accessor applies
 antisymmetry, so inconsistent antisymmetric data cannot be represented.
 The Jacobi identity is validated at construction, on every basis triple
 that involves a nonzero table entry (every other triple sums to zero).
+
+The constructor and ``bracket_basis`` take and give coordinate tuples;
+inside, the table holds vectors of ``field.space(dim)`` (packed ints over
+GF(p)), and ``bracket``, ``ad_images`` and ``transposed_ad_images`` take
+and give such vectors.
 """
 
 from dataclasses import dataclass
@@ -19,16 +24,12 @@ from .exactfield import field_from_name
 from .linspace import (
     SectionMap,
     check_enumeration,
-    dot,
     full_subspace,
-    right_kernel,
+    kernel,
     span,
+    span_vecs,
     transpose,
-    unit_vector,
-    vec_is_zero,
-    vec_scale,
     zero_subspace,
-    zero_vector,
 )
 
 DERIVED = "derived"
@@ -44,27 +45,38 @@ class LieAlgebra:
     """A finite-dimensional Lie algebra over an exact field.
 
     ``brackets`` maps 0-based basis pairs (i, j) with i < j to the
-    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.
+    coordinate vector of [e_i, e_j]; missing pairs bracket to zero.  With
+    ``packed``, the values are vectors of ``field.space(dim)`` instead.
     """
 
-    __slots__ = ("field", "dim", "_table", "_zero", "labels", "_ad", "_cache", "__weakref__")
+    __slots__ = ("field", "dim", "space", "_table", "_terms", "_dual", "labels", "_ad",
+                 "_cache", "__weakref__")
 
-    def __init__(self, field, dim, brackets, labels=None, check=True):
-        self.field = field
-        self.dim = dim
+    def __init__(self, field, dim, brackets, labels=None, check=True, *, packed=False):
+        space = field.space(dim)
         table = {}
         for (i, j), v in brackets.items():
             if not (0 <= i < j < dim):
                 raise AmbientMismatchError(f"bad bracket index pair ({i},{j})")
-            if len(v) != dim:
-                raise AmbientMismatchError(
-                    f"bracket [{i},{j}] has length {len(v)}, dim is {dim}"
-                )
-            v = tuple(v)
-            if not vec_is_zero(field, v):
+            if not packed:
+                if len(v) != dim:
+                    raise AmbientMismatchError(
+                        f"bracket [{i},{j}] has length {len(v)}, dim is {dim}"
+                    )
+                v = space.pack(v)
+            if not space.is_zero(v):
                 table[(i, j)] = v
+        self.field = field
+        self.dim = dim
+        self.space = space
         self._table = table
-        self._zero = zero_vector(field, dim)
+        # (i, j, c -> c [e_i, e_j]) per nonzero entry, for the bilinear maps
+        self._terms = tuple((i, j, space.scaler(v)) for (i, j), v in self._table.items())
+        # (i, j, [e_i, e_j], c -> c e_j, c -> c e_i), for the transposed maps
+        self._dual = tuple(
+            (i, j, v, space.scaler(space.unit(j)), space.scaler(space.unit(i)))
+            for (i, j), v in self._table.items()
+        )
         self.labels = _default_labels(dim) if labels is None else tuple(labels)
         self._ad = None
         self._cache = {}
@@ -73,19 +85,19 @@ class LieAlgebra:
 
     # -- basic structure ----------------------------------------------------
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a coordinate vector."""
-        if i == j:
-            return self._zero
+    def _basis_bracket(self, i, j):
+        """[e_i, e_j] as a vector of ``space``."""
         if i < j:
-            return self._table.get((i, j), self._zero)
+            return self._table.get((i, j), self.space.zero)
         v = self._table.get((j, i))
-        if v is None:
-            return self._zero
-        return vec_scale(self.field, -1, v)
+        return self.space.zero if v is None else self.space.neg(v)
+
+    def bracket_basis(self, i, j):
+        """[e_i, e_j] as a coordinate tuple."""
+        return self.space.unpack(self._basis_bracket(i, j))
 
     def ad_matrix(self, i):
-        """Matrix of ad(e_i): column j holds [e_i, e_j]."""
+        """Matrix of ad(e_i), as coordinate tuples: column j holds [e_i, e_j]."""
         if self._ad is None:
             self._ad = [None] * self.dim
         if self._ad[i] is None:
@@ -95,35 +107,46 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bilinear extension of the structure-constant table."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise AmbientMismatchError("bracket operands must have length dim")
-        out = None
-        for (i, j), v in self._table.items():
-            c = x[i] * y[j] - x[j] * y[i]
+        space = self.space
+        xs, ys = space.coords(x), space.coords(y)
+        add = space.add
+        out = space.zero
+        for i, j, times in self._terms:
+            c = xs[i] * ys[j] - xs[j] * ys[i]
             if c:
-                if out is None:
-                    out = [self.field.zero] * self.dim
-                for k, a in enumerate(v):
-                    if a:
-                        out[k] += c * a
-        return self._zero if out is None else tuple(map(self.field.norm, out))
+                out = add(out, times(c))
+        return out
+
+    def ad_images(self, y):
+        """The vectors [e_i, y] for i = 0..dim-1."""
+        space = self.space
+        ys = space.coords(y)
+        add = space.add
+        out = [space.zero] * self.dim
+        for i, j, times in self._terms:
+            if ys[j]:
+                out[i] = add(out[i], times(ys[j]))
+            if ys[i]:
+                out[j] = add(out[j], times(-ys[i]))
+        return out
 
     def transposed_ad_images(self, y):
         """The nonzero vectors ad(e_i)^T y.  Entry j of ad(e_i)^T y is y
         dotted with [e_i, e_j], so only the table entries meeting e_i count."""
-        f = self.field
+        space = self.space
+        dot, add, zero = space.dot, space.add, space.zero
         images = {}
-        for (i, j), v in self._table.items():
-            s = dot(f, v, y)
+        for i, j, v, e_j, e_i in self._dual:
+            s = dot(v, y)
             if s:
-                images.setdefault(i, [f.zero] * self.dim)[j] = s
-                images.setdefault(j, [f.zero] * self.dim)[i] = f.norm(-s)
-        return [tuple(w) for w in images.values()]
+                images[i] = add(images.get(i, zero), e_j(s))
+                images[j] = add(images.get(j, zero), e_i(-s))
+        return list(images.values())
 
     def _check_jacobi(self):
         # a triple that meets no table entry sums to zero, so only the
         # triples through a nonzero [e_i, e_j] are visited, in order
-        f = self.field
+        f, space = self.field, self.space
         n = self.dim
         triples = sorted({
             tuple(sorted((i, j, k)))
@@ -131,14 +154,22 @@ class LieAlgebra:
             for k in range(n)
             if k != i and k != j
         })
+        # [w, e_c] sums w_x [e_x, e_c] over the table entries that meet c:
+        # (x, c -> c [e_i, e_j], sign) with [e_x, e_c] = sign [e_i, e_j]
+        meets = [[] for _ in range(n)]
+        for i, j, times in self._terms:
+            meets[j].append((i, times, 1))
+            meets[i].append((j, times, -1))
+        add = space.add
         for i, j, k in triples:
-            terms = [
-                self.bracket(self.bracket_basis(a, b), unit_vector(f, n, c))
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-            ]
-            s = tuple(f.norm(sum(t)) for t in zip(*terms))
-            if not vec_is_zero(f, s):
-                raise JacobiError((i + 1, j + 1, k + 1), [f.format(a) for a in s])
+            s = space.zero
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                ws = space.coords(self._basis_bracket(a, b))
+                for x, times, sign in meets[c]:
+                    if ws[x]:
+                        s = add(s, times(sign * ws[x]))
+            if not space.is_zero(s):
+                raise JacobiError((i + 1, j + 1, k + 1), [f.format(a) for a in space.unpack(s)])
 
     # -- subspace machinery -------------------------------------------------
 
@@ -149,24 +180,31 @@ class LieAlgebra:
         return zero_subspace(self.field, self.dim)
 
     def span(self, vectors):
+        """The subspace spanned by coordinate tuples."""
         return span(self.field, self.dim, vectors)
+
+    def span_vecs(self, vecs):
+        """The subspace spanned by vectors of ``space``."""
+        return span_vecs(self.field, self.dim, vecs)
 
     def product_space(self, A, B):
         """Span of all brackets [a, b] over basis pairs of A and B.  The
         bracket is alternating, so [A, A] needs each unordered pair once."""
         if A == B:
-            rows = A.rows
-            vectors = [self.bracket(a, b) for i, a in enumerate(rows) for b in rows[i + 1:]]
+            vecs = A.vecs
+            brackets = [self.bracket(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1:]]
         else:
-            vectors = [self.bracket(a, b) for a in A.rows for b in B.rows]
-        return span(self.field, self.dim, vectors)
+            brackets = [self.bracket(a, b) for a in A.vecs for b in B.vecs]
+        return span_vecs(self.field, self.dim, brackets)
 
     def is_subalgebra(self, S):
         """Whether S is bracket-closed: each unordered pair of basis rows is
         bracketed once, up to the first bracket outside S."""
         self.zero_space().check_compatible(S)
-        rows = S.rows
-        return all(self.bracket(a, b) in S for i, a in enumerate(rows) for b in rows[i + 1:])
+        vecs, reduce, is_zero = S.vecs, S.reduce, S.space.is_zero
+        return all(
+            is_zero(reduce(self.bracket(a, b))) for i, a in enumerate(vecs) for b in vecs[i + 1:]
+        )
 
     def is_ideal(self, S):
         return self.memo(
@@ -208,34 +246,25 @@ class LieAlgebra:
             ("nilpotent", S), lambda: self.series(LOWER_CENTRAL, S).reaches_zero
         )
 
-    def is_abelian(self):
-        return not self._table
-
     def centralizer(self, A):
-        """{x : [x, a] = 0 for all a in A}, as an exact solution space."""
-        f = self.field
-        rows = []
-        for a in A.rows:
-            cols = [self.bracket(unit_vector(f, self.dim, j), a) for j in range(self.dim)]
-            rows.extend(transpose(cols, self.dim))
-        vectors = right_kernel(f, rows, self.dim)
-        return span(f, self.dim, vectors)
+        """{x : [x, a] = 0 for all a in A}, as an exact solution space: the
+        kernels of the maps x -> [x, a], met over a basis of A."""
+        C = self.full_space()
+        for a in A.vecs:
+            C = C & kernel(self.field, self.dim, self.ad_images(a), self.dim)
+        return C
 
     def normalizer(self, B):
-        """{x : [x, B] <= B}, as an exact solution space."""
-        f = self.field
+        """{x : [x, B] <= B}, as an exact solution space: the kernels of the
+        maps x -> [x, b] + B into L/B, met over a basis of B."""
         smap = SectionMap(self.full_space(), B)
+        N = self.full_space()
         if smap.dim == 0:
-            return self.full_space()
-        rows = []
-        for b in B.rows:
-            cols = [
-                smap.project(self.bracket(unit_vector(f, self.dim, j), b))
-                for j in range(self.dim)
-            ]
-            rows.extend(transpose(cols, smap.dim))
-        vectors = right_kernel(f, rows, self.dim)
-        return span(f, self.dim, vectors)
+            return N
+        for b in B.vecs:
+            images = [smap.project(w) for w in self.ad_images(b)]
+            N = N & kernel(self.field, self.dim, images, smap.dim)
+        return N
 
     def center(self):
         return self.centralizer(self.full_space())
@@ -256,10 +285,10 @@ class LieAlgebra:
             if not self.is_ideal(I):
                 raise NotAnIdealError("quotient by a subspace that is not an ideal")
             quot, smap = self._section(self.full_space(), I)
-            units = [unit_vector(self.field, self.dim, i) for i in range(self.dim)]
+            units = [self.space.unit(i) for i in range(self.dim)]
             for i in range(self.dim):
                 for j in range(i + 1, self.dim):
-                    lhs = smap.project(self.bracket_basis(i, j))
+                    lhs = smap.project(self._basis_bracket(i, j))
                     rhs = quot.bracket(smap.project(units[i]), smap.project(units[j]))
                     assert lhs == rhs, "quotient projection is not a homomorphism"
             return quot, smap
@@ -304,7 +333,7 @@ class LieAlgebra:
         for a in range(m):
             for b in range(a + 1, m):
                 brackets[(a, b)] = smap.project(self.bracket(lifts[a], lifts[b]))
-        return LieAlgebra(self.field, m, brackets, check=False), smap
+        return LieAlgebra(self.field, m, brackets, check=False, packed=True), smap
 
     # -- misc ---------------------------------------------------------------
 
@@ -318,7 +347,7 @@ class LieAlgebra:
         """A new algebra on this one's structure constants, with the given
         memo dict and labels."""
         twin = object.__new__(LieAlgebra)
-        for name in ("field", "dim", "_table", "_zero"):
+        for name in ("field", "dim", "space", "_table", "_terms", "_dual"):
             setattr(twin, name, getattr(self, name))
         twin.labels, twin._ad, twin._cache = labels, None, cache
         return twin
@@ -345,9 +374,9 @@ class LieAlgebra:
             raise NotContainedError(f"unknown basis label {name!r}") from None
 
     def to_json(self):
-        f = self.field
+        f, space = self.field, self.space
         brackets = [
-            {"i": i + 1, "j": j + 1, "coeffs": [f.format(a) for a in v]}
+            {"i": i + 1, "j": j + 1, "coeffs": [f.format(a) for a in space.unpack(v)]}
             for (i, j), v in sorted(self._table.items())
         ]
         return {

@@ -1,13 +1,23 @@
 """Exact dense linear algebra and canonical subspace arithmetic.
 
-Vectors are tuples of field elements, matrices are tuples of row tuples.
-A :class:`Subspace` stores the unique reduced row echelon basis of its row
-space, so subspace equality is plain tuple equality and every subspace has
-one canonical representation.
+Vectors come in two representations under one API, the coordinate space
+``field.space(n)`` of :mod:`~lieideals.exactfield`: over GF(p) a vector is
+one packed int, over Q a tuple of Fractions.  Row reduction
+(:class:`EchelonBasis`), closures, kernels, intersections, section maps
+and enumeration work on those vectors through the space's operations.  A
+:class:`Subspace` stores the unique reduced row echelon basis of its row
+space (``vecs``), so subspace equality is plain tuple equality and every
+subspace has one canonical representation; int order of packed vectors is
+the order of their coordinate tuples, so every ordering is as before.
+
+The boundary speaks coordinate tuples: ``Subspace(field, n, vectors)``,
+``span``, ``Subspace.rows``, membership of a tuple, ``basis_strings`` and
+``from_basis_strings``.  The tuple helpers below (``rref``, ``solve``,
+``mat_vec``, ``transpose``, ``dot``) serve the matrix code of
+:mod:`~lieideals.structure` and callers with coordinate tuples.
 """
 
 import functools
-import itertools
 
 from .errors import (
     AmbientMismatchError,
@@ -43,21 +53,6 @@ def vec_scale(field, c, v):
     return tuple(norm(c * a) for a in v)
 
 
-def vec_is_zero(field, v):
-    return not any(v)
-
-
-def lin_comb(field, coeffs, vectors, n):
-    """Sum of ``coeffs[i] * vectors[i]`` in coordinate n-space."""
-    out = [field.zero] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for j, a in enumerate(v):
-                if a:
-                    out[j] += c * a
-    return tuple(map(field.norm, out))
-
-
 def dot(field, u, v):
     return field.norm(sum([a * b for a, b in zip(u, v) if a and b]))
 
@@ -78,7 +73,7 @@ def transpose(rows, ncols):
 # ---------------------------------------------------------------------------
 
 def rref(field, rows):
-    """Reduced row echelon form.
+    """Reduced row echelon form of a matrix of coordinate tuples.
 
     Returns ``(rows, pivots)`` with zero rows dropped and pivot columns
     strictly increasing; the result is the canonical basis of the row space.
@@ -109,36 +104,33 @@ def rref(field, rows):
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def reduce_against(field, rows, pivots, v):
-    """Residual of v after elimination by an RREF basis."""
-    norm = field.norm
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        c = v[p]
-        if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = norm(v[j] - c * row[j])
-    return tuple(v)
-
-
 def right_kernel(field, rows, ncols):
-    """Basis of ``{x : M x = 0}`` for the matrix with the given rows."""
-    red, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [field.zero] * ncols
-        x[f] = field.one
-        for r, p in enumerate(pivots):
-            x[p] = field.norm(-red[r][f])
-        basis.append(tuple(x))
-    return basis
+    """Basis of ``{x : M x = 0}`` for the matrix whose rows are the given
+    vectors of F^ncols."""
+    return null_vectors(span_vecs(field, ncols, rows))
+
+
+def null_vectors(S):
+    """A basis of the annihilator of S, not reduced: one vector per free
+    column f of S's RREF basis, which is e_f minus the basis' entries in
+    column f, each at its row's pivot."""
+    space, vecs = S.space, S.vecs
+    entry, submul, unit = space.entry, space.submul, space.unit
+    units = [unit(p) for p in S.pivots]
+    out = []
+    for f in sorted(set(range(S.ambient)) - set(S.pivots)):
+        x = unit(f)
+        for row, e in zip(vecs, units):
+            c = entry(row, f)
+            if c:
+                x = submul(x, c, e)
+        out.append(x)
+    return out
 
 
 def solve(field, rows, rhs, ncols=None):
-    """One solution of ``M x = rhs`` or None if the system is inconsistent."""
+    """One solution of ``M x = rhs`` or None if the system is inconsistent;
+    M, rhs and x are coordinate tuples."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
@@ -152,47 +144,42 @@ def solve(field, rows, rhs, ncols=None):
 
 
 class EchelonBasis:
-    """Mutable RREF accumulator for incremental span building."""
+    """Mutable RREF accumulator for incremental span building, over the
+    vectors of ``field.space(n)``."""
+
+    __slots__ = ("field", "n", "space", "vecs", "pivots")
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.rows = []    # kept in RREF, pivots strictly increasing
+        self.space = field.space(n)
+        self.vecs = []    # kept in RREF, pivots strictly increasing
         self.pivots = []
+
+    @classmethod
+    def of(cls, S):
+        """An accumulator that starts from the basis of the subspace S."""
+        basis = cls(S.field, S.ambient)
+        basis.vecs = list(S.vecs)
+        basis.pivots = list(S.pivots)
+        return basis
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.vecs)
 
     def reduce(self, v):
-        return reduce_against(self.field, self.rows, self.pivots, v)
+        return self.space.reduce(v, self.vecs, self.pivots)
 
     def add(self, v):
         """Insert v into the span; returns True if the dimension grew."""
-        field = self.field
-        res = self.reduce(v)
-        p = next((j for j, a in enumerate(res) if a), None)
-        if p is None:
-            return False
-        if res[p] != 1:
-            res = vec_scale(field, field.inv(res[p]), res)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < p:
-            pos += 1
-        self.rows.insert(pos, res)
-        self.pivots.insert(pos, p)
-        norm = field.norm
-        for i, row in enumerate(self.rows):
-            c = row[p]
-            if c and i != pos:
-                self.rows[i] = tuple(norm(x - c * y) if y else x for x, y in zip(row, res))
-        return True
+        return self.space.insert(self.vecs, self.pivots, v)
 
     def __contains__(self, v):
-        return vec_is_zero(self.field, self.reduce(v))
+        return self.space.is_zero(self.reduce(v))
 
     def subspace(self):
-        return Subspace._trusted(self.field, self.n, tuple(self.rows), tuple(self.pivots))
+        return Subspace._trusted(self.space, tuple(self.vecs), tuple(self.pivots))
 
 
 def closure(field, n, seeds, images):
@@ -211,52 +198,94 @@ def closure(field, n, seeds, images):
     return basis.subspace()
 
 
+def span_vecs(field, ambient, vecs):
+    """Canonical subspace spanned by vectors of ``field.space(ambient)``."""
+    basis = EchelonBasis(field, ambient)
+    for v in vecs:
+        basis.add(v)
+    return basis.subspace()
+
+
+def _lower_part(field, m, n, joined):
+    """The vectors (0, x) of F^(m + n) in the span of ``joined``, as a
+    canonical subspace of F^n: in the RREF basis of the span, the rows that
+    pivot past column m vanish on the first m columns, span the vectors that
+    do, and are in RREF on the last n."""
+    basis = EchelonBasis(field, m + n)
+    for v in joined:
+        basis.add(v)
+    first, last = field.space(m), field.space(n)
+    keep = [(row, p) for row, p in zip(basis.vecs, basis.pivots) if p >= m]
+    return Subspace._trusted(
+        last, tuple(first.tail(row, last) for row, _ in keep), tuple(p - m for _, p in keep)
+    )
+
+
+def kernel(field, n, images, m):
+    """``{x in F^n : sum_j x_j images[j] = 0}`` for vectors images[j] of
+    F^m: the part of the span of the rows (images[j], e_j) that vanishes on
+    F^m."""
+    img, src = field.space(m), field.space(n)
+    return _lower_part(field, m, n, [img.join(w, src.unit(j), src) for j, w in enumerate(images)])
+
+
 # ---------------------------------------------------------------------------
 # Subspace
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of coordinate n-space in canonical RREF form.  It is never
+    """A subspace of coordinate n-space in canonical RREF form.  ``vecs``
+    holds the basis rows as vectors of ``field.space(n)`` (packed ints over
+    GF(p)) and ``rows`` the same rows as coordinate tuples.  It is never
     changed once built, so its hash is computed once, by the constructor."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_hash")
+    __slots__ = ("field", "ambient", "space", "vecs", "pivots", "dim", "_hash")
 
     def __init__(self, field, ambient, vectors):
+        space = field.space(ambient)
+        basis = EchelonBasis(field, ambient)
         for v in vectors:
             if len(v) != ambient:
                 raise AmbientMismatchError(
                     f"vector of length {len(v)} in ambient dimension {ambient}"
                 )
-        rows, pivots = rref(field, list(vectors))
+            basis.add(space.pack(v))
         self.field = field
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
-        self._hash = hash((field, ambient, rows))
+        self.space = space
+        self.vecs = vecs = tuple(basis.vecs)
+        self.pivots = tuple(basis.pivots)
+        self.dim = len(vecs)
+        self._hash = hash((field, ambient, vecs))
 
     @classmethod
-    def _trusted(cls, field, ambient, rows, pivots):
-        # rows already in canonical RREF; skips re-reduction
+    def _trusted(cls, space, vecs, pivots):
+        # vecs already in canonical RREF, in the space F^n; skips re-reduction
         self = object.__new__(cls)
-        self.field = field
-        self.ambient = ambient
-        self.rows = rows
+        self.field = field = space.field
+        self.ambient = ambient = space.n
+        self.space = space
+        self.vecs = vecs
         self.pivots = pivots
-        self._hash = hash((field, ambient, rows))
+        self.dim = len(vecs)
+        self._hash = hash((field, ambient, vecs))
         return self
 
     @property
-    def dim(self):
-        return len(self.rows)
+    def rows(self):
+        """The basis rows as coordinate tuples."""
+        return tuple(map(self.space.unpack, self.vecs))
 
     def is_zero(self):
-        return not self.rows
+        return not self.vecs
 
     def is_full(self):
-        return len(self.rows) == self.ambient
+        return len(self.vecs) == self.ambient
 
     def check_compatible(self, other):
         """Raise unless other is a subspace of the same space as self."""
+        if self.space is other.space:
+            return
         self.field.check_same(other.field)
         if self.ambient != other.ambient:
             raise AmbientMismatchError(
@@ -265,51 +294,62 @@ class Subspace:
             )
 
     def reduce(self, v):
-        return reduce_against(self.field, self.rows, self.pivots, v)
+        return self.space.reduce(v, self.vecs, self.pivots)
 
     def __contains__(self, v):
-        if len(v) != self.ambient:
-            raise AmbientMismatchError(
-                f"vector of length {len(v)} in ambient dimension {self.ambient}"
-            )
-        return vec_is_zero(self.field, self.reduce(v))
+        """Whether v, a vector of ``space`` or a coordinate tuple, lies in S."""
+        space = self.space
+        if isinstance(v, tuple):
+            if len(v) != self.ambient:
+                raise AmbientMismatchError(
+                    f"vector of length {len(v)} in ambient dimension {self.ambient}"
+                )
+            v = space.pack(v)
+        else:
+            space.check(v)
+        return space.is_zero(space.reduce(v, self.vecs, self.pivots))
 
     def __le__(self, other):
         self.check_compatible(other)
         if self.dim > other.dim:
             return False
-        return all(v in other for v in self.rows)
+        space, vecs, pivots = other.space, other.vecs, other.pivots
+        return all(space.is_zero(space.reduce(v, vecs, pivots)) for v in self.vecs)
 
     def __add__(self, other):
         self.check_compatible(other)
-        return Subspace(self.field, self.ambient, self.rows + other.rows)
+        basis = EchelonBasis.of(self)
+        for v in other.vecs:
+            basis.add(v)
+        return basis.subspace()
 
     def __and__(self, other):
-        """Intersection via the kernel of the stacked bases."""
+        """Intersection by Zassenhaus' method: the vectors (0, x) in the
+        span of the rows (u, u) for u in self and (w, 0) for w in other are
+        exactly those with x in both."""
         self.check_compatible(other)
-        stacked = self.rows + other.rows
-        if not stacked:
-            return self
-        coeffs = right_kernel(self.field, transpose(stacked, self.ambient), len(stacked))
-        u = self.dim
-        vectors = [
-            lin_comb(self.field, c[:u], self.rows, self.ambient) for c in coeffs
-        ]
-        return Subspace(self.field, self.ambient, vectors)
+        if not self.vecs or not other.vecs:
+            return self if not self.vecs else other
+        space, zero = self.space, self.space.zero
+        joined = [space.join(u, u, space) for u in self.vecs]
+        joined += [space.join(w, zero, space) for w in other.vecs]
+        return _lower_part(self.field, self.ambient, self.ambient, joined)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and self._hash == other._hash
+            and self.vecs == other.vecs
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self.field == other.field
         )
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
-        return (self.dim, self.rows)
+        # int order of packed vectors is the order of their coordinate tuples
+        return (self.dim, self.vecs)
 
     def __repr__(self):
         return f"Subspace({self.field}^{self.ambient}, dim {self.dim})"
@@ -334,41 +374,34 @@ def element_mask(S):
     when the vector whose base-q digits are c (coordinate i is the digit of
     q^i) lies in S.  The mask of S ∩ T is mask_S & mask_T, S <= T exactly
     when mask_S & ~mask_T is 0, and a mask has q^dim(S) bits set."""
-    field = S.field
-    q = field.characteristic()
-    codes = [0] * q**S.dim
-    weight = 1
-    for j in range(S.ambient):
-        # digit j of every element, the elements in one order for all j
-        digits = [0]
-        for row in S.rows:
-            c = row[j]
-            if c:
-                digits = [field.norm(d + a * c) for a in field.elements() for d in digits]
-            else:
-                digits *= q
-        codes = [x + d * weight for x, d in zip(codes, digits)]
-        weight *= q
-    return sum(1 << c for c in codes)
+    space = S.space
+    add = space.add
+    elements = [space.zero]
+    for row in S.vecs:
+        elements += [add(e, m) for m in space.multiples(row)[1:] for e in elements]
+    return sum(1 << c for c in map(space.code, elements))
 
 
 def span(field, ambient, vectors):
-    """Canonical subspace spanned by the given vectors."""
+    """Canonical subspace spanned by the given coordinate tuples."""
     return Subspace(field, ambient, vectors)
 
 
+@functools.cache
 def zero_subspace(field, ambient):
-    return Subspace._trusted(field, ambient, (), ())
+    return Subspace._trusted(field.space(ambient), (), ())
 
 
+@functools.cache
 def full_subspace(field, ambient):
-    rows = tuple(unit_vector(field, ambient, i) for i in range(ambient))
-    return Subspace._trusted(field, ambient, rows, tuple(range(ambient)))
+    space = field.space(ambient)
+    vecs = tuple(space.unit(i) for i in range(ambient))
+    return Subspace._trusted(space, vecs, tuple(range(ambient)))
 
 
 def annihilator(S):
     """``{x : s . x = 0 for every s in S}`` under the standard dot product."""
-    return Subspace(S.field, S.ambient, right_kernel(S.field, S.rows, S.ambient))
+    return span_vecs(S.field, S.ambient, null_vectors(S))
 
 
 # ---------------------------------------------------------------------------
@@ -383,42 +416,43 @@ class SectionMap:
     vector is K's basis row at that column.  So a restriction (I = 0)
     reads K's pivot entries and lifts along K's basis, and a quotient
     (K = F^n) reads the columns outside I's pivots and lifts to unit
-    vectors.  ``project(lift(c)) == c`` for every coordinate tuple c.
+    vectors.  Coordinates are vectors of ``space``, F^dim(K/I), and
+    ``project(lift(c)) == c`` for every one of them.
     """
 
-    __slots__ = ("K", "I", "lifts", "cols", "dim")
+    __slots__ = ("K", "I", "lifts", "cols", "dim", "space")
 
     def __init__(self, K, I):
         self.K = K
         self.I = I
         pivot_set = set(I.pivots)
         self.cols = tuple(p for p in K.pivots if p not in pivot_set)
-        self.lifts = tuple(row for row, p in zip(K.rows, K.pivots) if p not in pivot_set)
+        self.lifts = tuple(row for row, p in zip(K.vecs, K.pivots) if p not in pivot_set)
         self.dim = len(self.cols)
+        self.space = K.field.space(self.dim)
 
     def project(self, v):
         """Coordinates of the coset v + I, for v in K."""
+        K = self.K
         res = self.I.reduce(v)
-        coords = tuple(res[c] for c in self.cols)
-        # res lies in K exactly when it is the lift of its coordinates,
-        # and every vector lies in a full K
-        if not self.K.is_full() and self.lift(coords) != res:
+        # every vector lies in a full K
+        if not K.is_full() and not K.space.is_zero(K.reduce(res)):
             raise NotContainedError("vector is outside the subspace K of K/I")
-        return coords
+        entry = K.space.entry
+        return self.space.pack([entry(res, c) for c in self.cols])
 
     def lift(self, coords):
-        K = self.K
-        return lin_comb(K.field, coords, self.lifts, K.ambient)
+        return self.K.space.lin_comb(self.space.unpack(coords), self.lifts)
 
     def project_subspace(self, U):
         """The image of a subspace U <= K, in the coordinates of K/I."""
-        return Subspace(self.K.field, self.dim, [self.project(v) for v in U.rows])
+        return span_vecs(self.K.field, self.dim, [self.project(v) for v in U.vecs])
 
     def preimage_subspace(self, W):
         """The subspace of K, containing I, that maps onto W."""
         K = self.K
-        vectors = [self.lift(w) for w in W.rows] + list(self.I.rows)
-        return Subspace(K.field, K.ambient, vectors)
+        vecs = [self.lift(w) for w in W.vecs] + list(self.I.vecs)
+        return span_vecs(K.field, K.ambient, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -488,28 +522,63 @@ def check_enumeration(field, n, budget, dims=None):
             raise BudgetExceededError(total, budget)
 
 
-def _echelon_rows(field, n, k, pivot_cols):
-    """The k-row RREF bases of GF(q)^n whose pivots lie in ``pivot_cols``
-    (increasing columns), in lexicographic order of the row tuples.
+def _first_rows(space, p, cands, need, memo):
+    """The rows of F^n with leading 1 at column p whose zero set among the
+    later pivot candidates ``cands`` has at least ``need`` columns, in
+    increasing order, each with that zero set.
+
+    Columns are settled left to right, and a candidate takes a nonzero
+    entry only while enough candidates are left to supply the zeros, so
+    every row produced extends to a basis.  Shared tails are computed once
+    per call of :func:`enumerate_subspaces` (``memo``)."""
+    head = space.unit(p)
+    return [(head | v, zeros) for v, zeros in _tails(space, p + 1, cands, need, memo)]
+
+
+def _tails(space, start, cands, need, memo):
+    key = (start, cands, need)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if not cands:
+        out = [(v, ()) for v in space.block(start, space.n)]
+    else:
+        c, rest = cands[0], cands[1:]
+        after = _tails(space, c + 1, rest, need - 1, memo)
+        if len(rest) >= need:
+            # a nonzero entry at c still leaves enough zeros among the rest
+            free = _tails(space, c + 1, rest, need, memo)
+            nonzero = [space.unit(c) * a for a in range(1, space.field.characteristic())]
+        else:
+            free, nonzero = (), ()
+        out = []
+        for h in space.block(start, c):
+            out += [(h | v, (c,) + zeros) for v, zeros in after]
+            for a in nonzero:
+                out += [(h | a | v, zeros) for v, zeros in free]
+    memo[key] = out
+    return out
+
+
+def _echelon_rows(space, k, pivot_cols, memo):
+    """The k-row RREF bases of F^n whose pivots lie in ``pivot_cols``
+    (increasing columns), as ``(rows, pivots)`` in lexicographic order of
+    the rows.
 
     Row 0 comes first: a later pivot means more leading zeros, so its pivot
     runs from the last candidate column down, and its entries after the
-    pivot run in lexicographic order.  The other rows are the (k-1)-row
-    bases that pivot only at later columns where row 0 is zero.
+    pivot run in increasing order, skipping rows with fewer than k - 1 zero
+    candidates left.  The other rows are the (k-1)-row bases that pivot
+    only at later candidates where row 0 is zero.
     """
     if k == 0:
-        yield ()
+        yield (), ()
         return
-    elements = field.elements()
     for i in range(len(pivot_cols) - k, -1, -1):
         p = pivot_cols[i]
-        head = (field.zero,) * p + (field.one,)
-        for tail in itertools.product(elements, repeat=n - p - 1):
-            row = head + tail
-            later = tuple(c for c in pivot_cols[i + 1:] if not row[c])
-            if len(later) >= k - 1:
-                for rows in _echelon_rows(field, n, k - 1, later):
-                    yield (row,) + rows
+        for row, later in _first_rows(space, p, pivot_cols[i + 1:], k - 1, memo):
+            for rows, pivots in _echelon_rows(space, k - 1, later, memo):
+                yield (row,) + rows, (p,) + pivots
 
 
 def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
@@ -521,18 +590,19 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
     """
     dims = _normalize_dims(n, dim_filter)
     check_enumeration(field, n, budget, dims)
-    shared = {}  # one pivots tuple per pattern, as rows share their row tuples
+    space = field.space(n)
+    shared = {}  # one pivots tuple per pattern, as rows share their vectors
+    memo = {}
     for k in dims:
-        for rows in _echelon_rows(field, n, k, tuple(range(n))):
-            # a row's first nonzero entry is its pivot's 1
-            pivots = tuple(row.index(field.one) for row in rows)
-            yield Subspace._trusted(field, n, rows, shared.setdefault(pivots, pivots))
+        for rows, pivots in _echelon_rows(space, k, tuple(range(n)), memo):
+            yield Subspace._trusted(space, rows, shared.setdefault(pivots, pivots))
 
 
 def projective_points(field, n):
-    """One representative per line: vectors whose first nonzero entry is 1."""
-    elements = list(field.elements())
+    """One representative per line: vectors whose first nonzero entry is 1,
+    in lexicographic order of the leading column, then of the rest."""
+    space = field.space(n)
     for lead in range(n):
-        prefix = (field.zero,) * lead + (field.one,)
-        for tail in itertools.product(elements, repeat=n - lead - 1):
-            yield prefix + tail
+        head = space.unit(lead)
+        for tail in space.block(lead + 1, n):
+            yield head | tail

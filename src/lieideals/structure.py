@@ -27,7 +27,6 @@ from .linspace import (
     check_enumeration,
     closure,
     dot,
-    lin_comb,
     mat_vec,
     projective_points,
     right_kernel,
@@ -35,8 +34,6 @@ from .linspace import (
     solve,
     span,
     transpose,
-    unit_vector,
-    vec_add,
 )
 
 
@@ -46,16 +43,15 @@ from .linspace import (
 
 def spin(L, v):
     """Smallest ideal of L containing v (adjoint-invariant closure)."""
-    f = L.field
-    ads = [L.ad_matrix(i) for i in range(L.dim)]
-    return closure(f, L.dim, [v], lambda w: [mat_vec(f, A, w) for A in ads])
+    return closure(L.field, L.dim, [v], L.ad_images)
 
 
 def _points(S):
     """One vector of S per line of S, in ambient coordinates."""
     f = S.field
+    W = f.space(S.dim)
     for c in projective_points(f, S.dim):
-        yield lin_comb(f, c, S.rows, S.ambient)
+        yield S.space.lin_comb(W.unpack(c), S.vecs)
 
 
 def _norton(L, V):
@@ -74,10 +70,10 @@ def _norton(L, V):
     f = L.field
     d = V.dim
     smap = SectionMap(V, L.zero_space())
-    R = []
-    for i in range(L.dim):
-        cols = [smap.project(mat_vec(f, L.ad_matrix(i), r)) for r in V.rows]
-        R.append(transpose(cols, d))
+    W = smap.space
+    # column a of R[i] is ad(e_i) applied to V's a-th basis vector
+    ads = [[W.unpack(smap.project(w)) for w in L.ad_images(r)] for r in V.vecs]
+    R = [transpose([cols[i] for cols in ads], d) for i in range(L.dim)]
     best = None
     for Ri in R:
         for lam in f.elements():
@@ -91,12 +87,17 @@ def _norton(L, V):
     if best is None:
         return None
     theta = best[1]
-    kernel = L.span([smap.lift(x) for x in right_kernel(f, theta, d)])
+    kernel = L.span_vecs([smap.lift(x) for x in right_kernel(f, map(W.pack, theta), d)])
     if any(spin(L, v).dim < d for v in _points(kernel)):
         return False
-    w = right_kernel(f, transpose(theta, d), d)[0]
+    w = right_kernel(f, map(W.pack, transpose(theta, d)), d)[0]
     Rt = [transpose(Ri, d) for Ri in R]
-    return closure(f, d, [w], lambda y: [mat_vec(f, A, y) for A in Rt]).dim == d
+
+    def images(y):
+        ys = W.unpack(y)
+        return [W.pack(mat_vec(f, A, ys)) for A in Rt]
+
+    return closure(f, d, [w], images).dim == d
 
 
 def minimal_ideals(L, budget=DEFAULT_BUDGET):
@@ -111,7 +112,7 @@ def minimal_ideals(L, budget=DEFAULT_BUDGET):
     the space the answer covers, even though fewer are spun.
     """
     check_enumeration(L.field, L.dim, budget, (1,))
-    found = {L.span([z]) for z in _points(L.center())}
+    found = {L.span_vecs([z]) for z in _points(L.center())}
     V = L.series(LOWER_CENTRAL).terms[-1]
     if not V.is_zero():
         if _norton(L, V):
@@ -251,8 +252,7 @@ def _find_line_ideal_rational(L, budget):
         if not refined:
             return None
         spaces = sorted(refined, key=lambda S: S.sort_key())
-    v = spaces[0].rows[0]
-    line = L.span([v])
+    line = L.span_vecs(spaces[0].vecs[:1])
     assert L.product_space(L.full_space(), line) <= line
     return line
 
@@ -338,17 +338,17 @@ def _ad_identity_solution(L, W):
 
     Stacks the linear system over the coordinates of x; any solution works.
     """
-    f = L.field
+    f, space = L.field, L.space
     n = L.dim
     rows = []
     rhs = []
-    for w in W.rows:
+    for w in W.vecs:
         # coefficient of x_i in [x, w] is [e_i, w]
-        cols = [mat_vec(f, L.ad_matrix(i), w) for i in range(n)]
-        for k in range(n):
-            rows.append(tuple(cols[i][k] for i in range(n)))
-            rhs.append(w[k])
-    return solve(f, rows, rhs, n)
+        cols = [space.unpack(img) for img in L.ad_images(w)]
+        rows.extend(transpose(cols, n))
+        rhs.extend(space.unpack(w))
+    x = solve(f, rows, rhs, n)
+    return None if x is None else space.pack(x)
 
 
 def almost_abelian_part(L):
@@ -359,7 +359,7 @@ def almost_abelian_part(L):
     if not L.product_space(der, der).is_zero():
         return None
     if der.dim == 0:
-        return unit_vector(L.field, L.dim, 0)
+        return L.space.unit(0)
     return _ad_identity_solution(L, der)
 
 
@@ -423,19 +423,18 @@ def _case_ii_split(L):
         else:
             Wc = L.centralizer(der)
             x = None
-            for w in Wc.rows:
+            for w in Wc.vecs:
                 if w not in H:
-                    x = vec_add(f, x0, w)
+                    x = L.space.add(x0, w)
                     break
             if x is None:
                 return None
-    B = der + L.span([x])
+    B = der + L.span_vecs([x])
     ZB = Z & B
     eb = EchelonBasis(f, L.dim)
-    for r in ZB.rows:
+    for r in ZB.vecs:
         eb.add(r)
-    a_rows = [z for z in Z.rows if eb.add(z)]
-    A = L.span(a_rows)
+    A = L.span_vecs([z for z in Z.vecs if eb.add(z)])
     assert (A & B).dim == 0 and (A + B) == full
     assert L.product_space(full, A) <= A and L.product_space(full, B) <= B
     assert is_almost_abelian(L.restrict(B)[0])
@@ -466,9 +465,9 @@ def classify_one_dim_weak_c(L, budget=DEFAULT_BUDGET):
         try:
             all_weak = True
             for v in projective_points(L.field, L.dim):
-                if find_weak_c_witness(L, L.span([v]), budget) is None:
+                if find_weak_c_witness(L, L.span_vecs([v]), budget) is None:
                     all_weak = False
-                    verdict.non_witness = L.span([v])
+                    verdict.non_witness = L.span_vecs([v])
                     break
             verdict.all_one_dim_weak_c = all_weak
             verdict.agrees = (verdict.case != "neither") == all_weak

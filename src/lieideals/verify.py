@@ -458,7 +458,7 @@ def check_lemma_5_1(m):
     hyp = 0
     for v in projective_points(L.field, L.dim):
         hyp += 1
-        B = L.span([v])
+        B = L.span_vecs([v])
         weak = is_weak_c_ideal(L, B)
         strong = find_c_witness(L, B) is not None
         if weak != strong:

@@ -87,7 +87,8 @@ def test_parse_zero_rhs_comments_and_empty_span():
         "[e1,e2] = 0   # no bracket after all\n"
         "subspace Z = span()\n"
     )
-    assert built.algebra.is_abelian()
+    L = built.algebra
+    assert L.product_space(L.full_space(), L.full_space()).is_zero()
     assert built.subspaces["Z"].is_zero()
 
 

@@ -497,7 +497,7 @@ def test_search_is_canonical_and_deterministic():
 
 
 def brute_is_ideal(L, S):
-    return all(L.bracket(x, s) in S for x in L.full_space().rows for s in S.rows)
+    return all(L.bracket(x, s) in S for x in L.full_space().vecs for s in S.vecs)
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,7 @@ def batch_and_sort(field, n, dims):
 
 
 def closed_by_all_products(L, S):
-    return L.span([L.bracket(a, b) for a in S.rows for b in S.rows]) <= S
+    return L.span_vecs([L.bracket(a, b) for a in S.vecs for b in S.vecs]) <= S
 
 
 def _dim_filters(n):
@@ -86,8 +86,8 @@ def test_is_subalgebra_and_product_space_match_every_ordered_product(name):
     L = ALGEBRAS[name]
     for S in _every_subspace(L):
         assert L.is_subalgebra(S) == closed_by_all_products(L, S)
-        assert L.product_space(S, S) == L.span(
-            [L.bracket(a, b) for a in S.rows for b in S.rows])
+        assert L.product_space(S, S) == L.span_vecs(
+            [L.bracket(a, b) for a in S.vecs for b in S.vecs])
 
 
 def _foreign(L, k):

@@ -45,6 +45,16 @@ def all_vectors(f, n):
     return [tuple(c) for c in itertools.product(list(f.elements()), repeat=n)]
 
 
+def pk(f, v):
+    """The vector of f.space(len(v)) with coordinates v."""
+    return f.space(len(v)).pack(v)
+
+
+def up(f, n, v):
+    """The coordinate tuple of a vector of f.space(n)."""
+    return f.space(n).unpack(v)
+
+
 def brute_span(f, vectors, n):
     """All linear combinations, as a frozenset.  Independent oracle for
     span membership."""
@@ -157,28 +167,28 @@ def test_every_constructor_hashes_a_subspace_alike():
     # the hash is computed once, by Subspace.__init__ or Subspace._trusted,
     # whichever way the subspace was built
     f, n = GF(3), 3
-    units = [unit_vector(f, n, i) for i in range(n)]
+    units = [pk(f, unit_vector(f, n, i)) for i in range(n)]
     basis = EchelonBasis(f, n)
     for v in [(1, 1, 0), (0, 2, 0), (0, 1, 1)]:
-        basis.add(v)
+        basis.add(pk(f, v))
     whole = [
         Subspace(f, n, [(1, 1, 0), (0, 2, 0), (2, 0, 1)]),
-        Subspace._trusted(f, n, tuple(units), (0, 1, 2)),
+        Subspace._trusted(f.space(n), tuple(units), (0, 1, 2)),
         basis.subspace(),
         Subspace.from_basis_strings(f, n, [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"]]),
         full_subspace(f, n),
     ]
     line = [
         Subspace(f, n, [(0, 2, 1)]),
-        Subspace._trusted(f, n, ((0, 1, 2),), (1,)),
+        Subspace._trusted(f.space(n), (pk(f, (0, 1, 2)),), (1,)),
         span(f, n, [(0, 1, 2), (0, 2, 1)]),
         Subspace.from_basis_strings(f, n, [["0", "1", "2"]]),
         next(S for S in enumerate_subspaces(f, n, 1) if S.rows == ((0, 1, 2),)),
     ]
     for same in (whole, line):
-        rows = same[0].rows
+        vecs = same[0].vecs
         assert all(S == same[0] for S in same)
-        assert {hash(S) for S in same} == {hash((f, n, rows))}
+        assert {hash(S) for S in same} == {hash((f, n, vecs))}
         assert len(set(same)) == 1
 
 
@@ -196,8 +206,8 @@ def _assigned_attributes(node):
 
 
 def _rows_writers(tree, module):
-    """Module.Class.function for every write to a .rows or .pivots: an
-    assignment, an item assignment, a method call on it, or setattr."""
+    """Module.Class.function for every write to a .rows, .vecs or .pivots:
+    an assignment, an item assignment, a method call on it, or setattr."""
     out = set()
 
     def visit(node, scope):
@@ -214,7 +224,7 @@ def _rows_writers(tree, module):
             if (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
                     and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
                 written.append(node.args[1].value)
-        if any(name in ("rows", "pivots") for name in written):
+        if any(name in ("rows", "vecs", "pivots") for name in written):
             out.add(".".join((module,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -402,7 +412,7 @@ def test_enumeration_budget_and_infinite_field():
 
 def test_projective_points():
     f = GF(3)
-    pts = list(projective_points(f, 3))
+    pts = [up(f, 3, v) for v in projective_points(f, 3)]
     assert len(pts) == 13
     assert len({span(f, 3, [v]) for v in pts}) == 13
     for v in pts:
@@ -424,7 +434,7 @@ def test_right_kernel_annihilates_and_rank_nullity():
                 tuple(rng.randrange(p) for _ in range(ncols))
                 for _ in range(nrows)
             ]
-            ker = right_kernel(f, rows, ncols)
+            ker = [up(f, ncols, k) for k in right_kernel(f, [pk(f, r) for r in rows], ncols)]
             red, pivots = rref(f, rows)
             assert len(ker) == ncols - len(pivots)
             for k in ker:
@@ -462,13 +472,13 @@ def test_echelon_basis_incremental_matches_span():
     for _ in range(30):
         vecs = [tuple(rng.randrange(3) for _ in range(4)) for _ in range(5)]
         eb = EchelonBasis(f, 4)
-        grew = [eb.add(v) for v in vecs]
+        grew = [eb.add(pk(f, v)) for v in vecs]
         S = span(f, 4, vecs)
         assert eb.subspace() == S
         assert sum(grew) == S.dim
         assert eb.dim == S.dim
         for v in vecs:
-            assert v in eb
+            assert pk(f, v) in eb
 
 
 def test_quotient_map_round_trips():
@@ -477,11 +487,11 @@ def test_quotient_map_round_trips():
     q = SectionMap(full_subspace(f, 3), U)
     assert q.dim == 2
     for v in all_vectors(f, 3):
-        w = q.project(v)
+        w = q.project(pk(f, v))
         # lift projects back to the same coset
         assert q.project(q.lift(w)) == w
     # kernel collapses
-    assert q.project((0, 0, 1)) == zero_vector(f, 2)
+    assert up(f, 2, q.project(pk(f, (0, 0, 1)))) == zero_vector(f, 2)
     W = q.project_subspace(span(f, 3, [(1, 0, 0), (0, 0, 1)]))
     assert W.dim == 1
     back = q.preimage_subspace(W)
@@ -497,11 +507,11 @@ def test_a_section_between_two_proper_subspaces():
     I = span(f, 4, [(1, 1, 1, 1)])
     s = SectionMap(K, I)
     assert s.dim == 1
-    assert s.lift((2,)) == (0, 0, 2, 2)
-    assert s.project((1, 1, 1, 1)) == (0,)
-    assert s.project((1, 1, 0, 0)) == (2,)  # (1,1,0,0) = I - (0,0,1,1)
+    assert up(f, 4, s.lift(pk(f, (2,)))) == (0, 0, 2, 2)
+    assert up(f, 1, s.project(pk(f, (1, 1, 1, 1)))) == (0,)
+    assert up(f, 1, s.project(pk(f, (1, 1, 0, 0)))) == (2,)  # (1,1,0,0) = I - (0,0,1,1)
     with pytest.raises(NotContainedError):
-        s.project((1, 0, 0, 0))
+        s.project(pk(f, (1, 0, 0, 0)))
     assert s.preimage_subspace(s.project_subspace(K)) == K
     assert s.project_subspace(I).is_zero()
 

@@ -107,7 +107,7 @@ def _cold(L):
 
 
 def _brute_is_ideal(L, S):
-    return all(L.bracket(x, s) in S for x in L.full_space().rows for s in S.rows)
+    return all(L.bracket(x, s) in S for x in L.full_space().vecs for s in S.vecs)
 
 
 def _first_splitting_ideal(L, B):
@@ -181,7 +181,7 @@ def line_scan_supersolvable(L):
         return True
     if not L.is_solvable():
         return False
-    for v in projective_points(L.field, L.dim):
+    for v in map(L.space.unpack, projective_points(L.field, L.dim)):
         if _line_is_ideal(L, v):
             return line_scan_supersolvable(L.quotient(L.span([v]))[0])
     return False

@@ -31,18 +31,18 @@ def _table(L, cols, lifts, reduce):
     brackets = {}
     for a in range(m):
         for b in range(a + 1, m):
-            v = reduce(L.bracket(lifts[a], lifts[b]))
+            v = L.space.unpack(reduce(L.bracket(lifts[a], lifts[b])))
             brackets[(a, b)] = tuple(v[c] for c in cols)
     return LieAlgebra(L.field, m, brackets, check=False).to_json()
 
 
 def restriction_oracle(L, K):
-    return _table(L, K.pivots, K.rows, lambda v: v)
+    return _table(L, K.pivots, K.vecs, lambda v: v)
 
 
 def quotient_oracle(L, I):
     cols = [c for c in range(L.dim) if c not in I.pivots]
-    lifts = [unit_vector(L.field, L.dim, c) for c in cols]
+    lifts = [L.space.pack(unit_vector(L.field, L.dim, c)) for c in cols]
     return _table(L, cols, lifts, I.reduce)
 
 
@@ -50,6 +50,7 @@ def _round_trips(smap):
     f = smap.K.field
     coords = [unit_vector(f, smap.dim, a) for a in range(smap.dim)]
     coords.append((f.one,) * smap.dim)
+    coords = [smap.space.pack(c) for c in coords]
     return all(smap.project(smap.lift(c)) == c for c in coords)
 
 
@@ -57,7 +58,7 @@ def _round_trips(smap):
 def test_restrictions_match_the_pivot_convention(name):
     L = ALGEBRAS[name]
     lat = lattice(L)
-    outside = [unit_vector(L.field, L.dim, i) for i in range(L.dim)]
+    outside = [L.space.pack(unit_vector(L.field, L.dim, i)) for i in range(L.dim)]
     for K in lat.subalgebras:
         Lk, smap = L.restrict(K)
         assert Lk.to_json() == restriction_oracle(L, K)

@@ -97,10 +97,10 @@ def test_flags_known_values():
 
 def test_spin_known_values():
     L = heis(GF(3))
-    assert spin(L, (0, 0, 1)) == L.span([(0, 0, 1)])
-    assert spin(L, (1, 0, 0)) == L.span([(1, 0, 0), (0, 0, 1)])
+    assert spin(L, L.space.pack((0, 0, 1))) == L.span([(0, 0, 1)])
+    assert spin(L, L.space.pack((1, 0, 0))) == L.span([(1, 0, 0), (0, 0, 1)])
     S = sl2(GF(5)).algebra
-    assert spin(S, (0, 1, 0)).is_full()
+    assert spin(S, S.space.pack((0, 1, 0))).is_full()
 
 
 def test_minimal_ideals_known_values():
