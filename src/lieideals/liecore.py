@@ -8,7 +8,8 @@ that involves a nonzero table entry (every other triple sums to zero).
 The constructor and ``bracket_basis`` take and give coordinate tuples;
 inside, the table holds vectors of ``field.space(dim)`` (packed ints over
 GF(p)), and ``bracket``, ``ad_images`` and ``transposed_ad_images`` take
-and give such vectors.
+and give such vectors.  No operator is kept as a matrix: ad(x) is applied
+by ``bracket(x, .)``, and its columns [x, e_j] are minus ``ad_images(x)``.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .linspace import (
     kernel,
     span,
     span_vecs,
-    transpose,
     zero_subspace,
 )
 
@@ -49,8 +49,8 @@ class LieAlgebra:
     ``packed``, the values are vectors of ``field.space(dim)`` instead.
     """
 
-    __slots__ = ("field", "dim", "space", "_table", "_terms", "_dual", "labels", "_ad",
-                 "_cache", "__weakref__")
+    __slots__ = ("field", "dim", "space", "_table", "_terms", "_dual", "labels", "_cache",
+                 "__weakref__")
 
     def __init__(self, field, dim, brackets, labels=None, check=True, *, packed=False):
         space = field.space(dim)
@@ -78,7 +78,6 @@ class LieAlgebra:
             for (i, j), v in self._table.items()
         )
         self.labels = _default_labels(dim) if labels is None else tuple(labels)
-        self._ad = None
         self._cache = {}
         if check:
             self._check_jacobi()
@@ -95,15 +94,6 @@ class LieAlgebra:
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a coordinate tuple."""
         return self.space.unpack(self._basis_bracket(i, j))
-
-    def ad_matrix(self, i):
-        """Matrix of ad(e_i), as coordinate tuples: column j holds [e_i, e_j]."""
-        if self._ad is None:
-            self._ad = [None] * self.dim
-        if self._ad[i] is None:
-            cols = [self.bracket_basis(i, j) for j in range(self.dim)]
-            self._ad[i] = transpose(cols, self.dim)
-        return self._ad[i]
 
     def bracket(self, x, y):
         """Bilinear extension of the structure-constant table."""
@@ -349,7 +339,7 @@ class LieAlgebra:
         twin = object.__new__(LieAlgebra)
         for name in ("field", "dim", "space", "_table", "_terms", "_dual"):
             setattr(twin, name, getattr(self, name))
-        twin.labels, twin._ad, twin._cache = labels, None, cache
+        twin.labels, twin._cache = labels, cache
         return twin
 
     def memo(self, key, thunk, budget=None):

@@ -12,9 +12,8 @@ the order of their coordinate tuples, so every ordering is as before.
 
 The boundary speaks coordinate tuples: ``Subspace(field, n, vectors)``,
 ``span``, ``Subspace.rows``, membership of a tuple, ``basis_strings`` and
-``from_basis_strings``.  The tuple helpers below (``rref``, ``solve``,
-``mat_vec``, ``transpose``, ``dot``) serve the matrix code of
-:mod:`~lieideals.structure` and callers with coordinate tuples.
+``from_basis_strings``, and the tuple entry points ``rref`` and ``solve``,
+which row-reduce through :class:`EchelonBasis` like every other caller.
 """
 
 import functools
@@ -32,7 +31,7 @@ DEFAULT_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
-# vector / matrix helpers
+# coordinate-tuple helpers
 # ---------------------------------------------------------------------------
 
 def zero_vector(field, n):
@@ -53,21 +52,6 @@ def vec_scale(field, c, v):
     return tuple(norm(c * a) for a in v)
 
 
-def dot(field, u, v):
-    return field.norm(sum([a * b for a, b in zip(u, v) if a and b]))
-
-
-def mat_vec(field, rows, v):
-    """Matrix times column vector; rows is m x n, v has length n."""
-    return tuple(dot(field, row, v) for row in rows)
-
-
-def transpose(rows, ncols):
-    if not rows:
-        return tuple(() for _ in range(ncols))
-    return tuple(tuple(row[j] for row in rows) for j in range(ncols))
-
-
 # ---------------------------------------------------------------------------
 # row reduction, kernels, solving
 # ---------------------------------------------------------------------------
@@ -76,32 +60,13 @@ def rref(field, rows):
     """Reduced row echelon form of a matrix of coordinate tuples.
 
     Returns ``(rows, pivots)`` with zero rows dropped and pivot columns
-    strictly increasing; the result is the canonical basis of the row space.
+    strictly increasing; the result is the canonical basis of the row space,
+    built by :class:`EchelonBasis`.  Rows of differing lengths raise
+    AmbientMismatchError.
     """
-    norm = field.norm
-    work = [list(r) for r in rows if any(r)]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        top = work[r]
-        if top[c] != 1:
-            s = field.inv(top[c])
-            top = work[r] = [norm(s * x) for x in top]
-        for i in range(nrows):
-            k = work[i][c]
-            if k and i != r:
-                work[i] = [norm(x - k * y) if y else x for x, y in zip(work[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    rows = list(rows)
+    S = Subspace(field, len(rows[0]) if rows else 0, rows)
+    return S.rows, S.pivots
 
 
 def right_kernel(field, rows, ncols):
@@ -600,7 +565,10 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
 
 def projective_points(field, n):
     """One representative per line: vectors whose first nonzero entry is 1,
-    in lexicographic order of the leading column, then of the rest."""
+    in lexicographic order of the leading column, then of the rest.  Over Q
+    the lines are infinitely many: the first step raises
+    EnumerationUnsupportedError."""
+    check_enumeration(field, n, None, (1,))
     space = field.space(n)
     for lead in range(n):
         head = space.unit(lead)

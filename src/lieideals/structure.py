@@ -8,6 +8,13 @@ an explicit budget; everything else works over any supported field.  A
 predicate that cannot decide raises BudgetExceededError or
 EnumerationUnsupportedError rather than guessing; the front ends turn the
 raise into "unsupported".
+
+The matrix code (Norton's test, the characteristic polynomial and the
+eigenspaces of ad(x)) keeps each matrix as the list of its columns,
+vectors of ``field.space(n)``, and works through the ``linspace`` kernel:
+``rref``, ``kernel``, ``right_kernel``, ``closure`` and the space's
+``lin_comb``.  Over Q the root search factors coefficients by trial
+division, at most ``budget`` steps each.
 """
 
 import math
@@ -26,14 +33,11 @@ from .linspace import (
     Subspace,
     check_enumeration,
     closure,
-    dot,
-    mat_vec,
+    kernel,
     projective_points,
     right_kernel,
     rref,
     solve,
-    span,
-    transpose,
 )
 
 
@@ -66,36 +70,41 @@ def _norton(L, V):
     under the R_i^T: a proper ideal W meeting ker theta in 0 has
     theta(W) = W inside im theta, so ker theta^T annihilates W and spins
     inside W's annihilator.
+
+    Each matrix is the list of its columns, vectors of F^dim V; the rank
+    of theta is the rank of its columns.
     """
     f = L.field
     d = V.dim
     smap = SectionMap(V, L.zero_space())
     W = smap.space
+    units = [W.unit(a) for a in range(d)]
     # column a of R[i] is ad(e_i) applied to V's a-th basis vector
-    ads = [[W.unpack(smap.project(w)) for w in L.ad_images(r)] for r in V.vecs]
-    R = [transpose([cols[i] for cols in ads], d) for i in range(L.dim)]
+    R = [[] for _ in range(L.dim)]
+    for r in V.vecs:
+        for Ri, w in zip(R, L.ad_images(r)):
+            Ri.append(smap.project(w))
     best = None
     for Ri in R:
         for lam in f.elements():
-            theta = tuple(
-                tuple(f.norm(a - lam) if c == r else a for c, a in enumerate(row))
-                for r, row in enumerate(Ri)
-            )
-            k = d - len(rref(f, theta)[1])
+            theta = [W.submul(c, lam, e) if lam else c for c, e in zip(Ri, units)]
+            k = d - len(rref(f, [W.unpack(c) for c in theta])[1])
             if 0 < k < d and (best is None or k < best[0]):
                 best = (k, theta)
     if best is None:
         return None
     theta = best[1]
-    kernel = L.span_vecs([smap.lift(x) for x in right_kernel(f, map(W.pack, theta), d)])
-    if any(spin(L, v).dim < d for v in _points(kernel)):
+    ker = smap.preimage_subspace(kernel(f, d, theta, d))
+    if any(spin(L, v).dim < d for v in _points(ker)):
         return False
-    w = right_kernel(f, map(W.pack, transpose(theta, d)), d)[0]
-    Rt = [transpose(Ri, d) for Ri in R]
+    # the rows of theta^T are the columns of theta, and the columns of R_i^T
+    # are the rows of R_i, which R_i^T y combines with the coordinates of y
+    w = right_kernel(f, theta, d)[0]
+    Rt = [[W.pack(row) for row in zip(*map(W.unpack, Ri))] for Ri in R]
 
     def images(y):
         ys = W.unpack(y)
-        return [W.pack(mat_vec(f, A, ys)) for A in Rt]
+        return [W.lin_comb(ys, cols) for cols in Rt]
 
     return closure(f, d, [w], images).dim == d
 
@@ -146,35 +155,40 @@ def is_simple(L, budget=DEFAULT_BUDGET):
 # supersolvability
 # ---------------------------------------------------------------------------
 
-def _char_poly(f, rows):
-    """Characteristic polynomial coefficients c_0..c_n (monic), exact.
+def _ad_columns(L, x):
+    """The columns [x, e_j] of ad(x): minus the images [e_j, x]."""
+    return [L.space.neg(w) for w in L.ad_images(x)]
 
-    Faddeev-LeVerrier; needs division by integers, so characteristic 0 only.
+
+def _char_poly(L, x):
+    """Characteristic polynomial coefficients c_0..c_n (monic) of ad(x),
+    exact.
+
+    Faddeev-LeVerrier on the columns of A M_k, with A = ad(x),
+    M_k = A M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(A M_k) / k.  Needs
+    division by integers, so characteristic 0 only.
     """
-    n = len(rows)
+    f, space, n = L.field, L.space, L.dim
+    A = _ad_columns(L, x)
     coeffs = [f.zero] * (n + 1)
-    coeffs[n] = f.one
-    M = [[f.zero] * n for _ in range(n)]
-    c = f.one
+    coeffs[n] = c = f.one
+    AM = [space.zero] * n  # the columns of A M_0, M_0 = 0
     for k in range(1, n + 1):
-        # M <- A @ M + c * I
-        cols = transpose(M, n)
-        M = [[dot(f, row, col) for col in cols] for row in rows]
-        for i in range(n):
-            M[i][i] = f.norm(M[i][i] + c)
-        cols = transpose(M, n)
-        tr = sum(dot(f, rows[i], cols[i]) for i in range(n))
-        c = f.norm(-tr * f.inv(k))
-        coeffs[n - k] = c
-    # drop the extra c*I mixed into M on the last step: coeffs are already set
+        # A M_k e_j = A (A M_(k-1) e_j) + c A e_j
+        AM = [space.add(space.lin_comb(space.unpack(m), A), space.scale(c, a))
+              for m, a in zip(AM, A)]
+        tr = sum(space.entry(m, j) for j, m in enumerate(AM))
+        c = coeffs[n - k] = f.norm(-tr * f.inv(k))
     return coeffs
 
 
-def _divisors(m, cap=10**12):
+def _divisors(m, budget):
+    """The positive divisors of m, by at most ``budget`` trial divisions
+    (None: no limit): refused when |m| exceeds budget squared."""
     m = abs(m)
-    if m > cap:
+    if budget is not None and m > budget * budget:
         raise EnumerationUnsupportedError(
-            f"rational root search needs the divisors of {m}, cap is {cap}"
+            f"rational root search needs the divisors of {m}, cap is {budget * budget}"
         )
     out = []
     d = 1
@@ -190,7 +204,9 @@ def _rational_roots(coeffs, budget):
     """All rational roots of a nonzero polynomial with Fraction
     coefficients.  Raises EnumerationUnsupportedError when a coefficient to
     factor is beyond the divisor cap, or when the candidates ±num/den
-    outnumber the budget (None: no limit)."""
+    outnumber the budget (None: no limit).  The divisor cap is the budget
+    squared, so that the trial division of a coefficient makes at most
+    ``budget`` steps."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
@@ -208,7 +224,7 @@ def _rational_roots(coeffs, budget):
     ints = ints[shift:]
     if len(ints) == 1:
         return sorted(roots)
-    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    nums, dens = _divisors(ints[0], budget), _divisors(ints[-1], budget)
     count = 2 * len(nums) * len(dens)
     if budget is not None and count > budget:
         raise EnumerationUnsupportedError(
@@ -225,28 +241,26 @@ def _rational_roots(coeffs, budget):
     return sorted(roots)
 
 
-def _eigenspace(f, rows, lam, n):
-    shifted = [
-        tuple(f.norm(rows[i][j] - lam) if i == j else rows[i][j] for j in range(n))
-        for i in range(n)
-    ]
-    ker = right_kernel(f, shifted, n)
-    return span(f, n, ker)
+def _eigenspace(L, x, lam):
+    """ker(ad(x) - lam): the kernel of the columns [x, e_j] - lam e_j."""
+    space = L.space
+    cols = _ad_columns(L, x)
+    if lam:
+        cols = [space.submul(c, lam, space.unit(j)) for j, c in enumerate(cols)]
+    return kernel(L.field, L.dim, cols, L.dim)
 
 
 def _find_line_ideal_rational(L, budget):
     """Common rational eigenvector search; returns a line ideal, or None
     when there is none."""
-    f = L.field
-    n = L.dim
     spaces = [L.full_space()]
-    for i in range(n):
-        rows = L.ad_matrix(i)
-        roots = _rational_roots(_char_poly(f, rows), budget)
+    for i in range(L.dim):
+        x = L.space.unit(i)
+        eigen = [_eigenspace(L, x, lam) for lam in _rational_roots(_char_poly(L, x), budget)]
         refined = set()
         for W in spaces:
-            for lam in roots:
-                X = W & _eigenspace(f, rows, lam, n)
+            for E in eigen:
+                X = W & E
                 if X.dim > 0:
                     refined.add(X)
         if not refined:
@@ -345,7 +359,7 @@ def _ad_identity_solution(L, W):
     for w in W.vecs:
         # coefficient of x_i in [x, w] is [e_i, w]
         cols = [space.unpack(img) for img in L.ad_images(w)]
-        rows.extend(transpose(cols, n))
+        rows.extend(zip(*cols))
         rhs.extend(space.unpack(w))
     x = solve(f, rows, rhs, n)
     return None if x is None else space.pack(x)

@@ -384,6 +384,24 @@ def test_a_rational_root_search_past_the_budget_is_unsupported(tmp_path, capsys)
     }
 
 
+def test_the_trial_division_of_a_root_search_is_bounded_by_the_budget(tmp_path, capsys):
+    # ad(e1) has characteristic polynomial t (t^2 - 999999999989); factoring
+    # the prime takes about 10^6 trial divisions, so a budget of 10 (divisor
+    # cap 100) refuses where the default budget (cap 10^12) answers
+    alg = tmp_path / "prime.alg"
+    alg.write_text("field Q\ndim 3\n[e1,e2] = e3\n[e1,e3] = 999999999989*e2\n")
+    code, out, _ = run(capsys, "check", str(alg), "--predicate", "supersolvable",
+                       "--budget", "10")
+    assert code == 3
+    assert json.loads(out) == {
+        "predicate": "supersolvable",
+        "verdict": "unsupported",
+        "reason": "rational root search needs the divisors of 999999999989, cap is 100",
+    }
+    code, out, _ = run(capsys, "check", str(alg), "--predicate", "supersolvable")
+    assert code == 0 and json.loads(out)["verdict"] == "no"
+
+
 def test_check_simple_over_q_names_the_reason(capsys):
     code, out, _ = run(
         capsys, "check", str(DATA / "sl2q.alg"), "--predicate", "simple"

@@ -9,14 +9,15 @@ and 9, on matrices drawn by hypothesis.
 
 import ast
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieideals
-from lieideals.errors import NotContainedError
-from lieideals.exactfield import GF
+from lieideals.errors import AmbientMismatchError, NotContainedError
+from lieideals.exactfield import GF, QQ
 from lieideals.liecore import LieAlgebra
 from lieideals.linspace import (
     MASK_LIMIT,
@@ -29,6 +30,7 @@ from lieideals.linspace import (
     full_subspace,
     kernel,
     right_kernel,
+    rref,
     span,
     span_vecs,
     zero_subspace,
@@ -43,7 +45,12 @@ PRIMES = sorted(WIDTHS)
 # ---------------------------------------------------------------------------
 
 def o_rref(p, rows):
-    work = [[a % p for a in r] for r in rows if any(a % p for a in r)]
+    """Gauss-Jordan over GF(p), or over Q for p = 0."""
+    if p:
+        norm, inv = (lambda a: a % p), (lambda a: pow(a, p - 2, p))
+    else:
+        norm, inv = Fraction, (lambda a: 1 / Fraction(a))
+    work = [[norm(a) for a in r] for r in rows if any(norm(a) for a in r)]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
@@ -53,12 +60,12 @@ def o_rref(p, rows):
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        s = pow(work[r][c], p - 2, p)
-        work[r] = [s * x % p for x in work[r]]
+        s = inv(work[r][c])
+        work[r] = [norm(s * x) for x in work[r]]
         for i in range(nrows):
             k = work[i][c]
             if k and i != r:
-                work[i] = [(x - k * y) % p for x, y in zip(work[i], work[r])]
+                work[i] = [norm(x - k * y) for x, y in zip(work[i], work[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -225,6 +232,21 @@ def test_echelon_basis_is_the_oracle_rref(case):
     assert tuple(basis.pivots) == pivots
     S = span(f, n, rows)
     assert S.rows == want and S.pivots == pivots
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PRIMES + [0]), st.integers(0, 6), st.integers(0, 8), st.data())
+def test_tuple_rref_is_the_oracle_rref(p, nrows, n, data):
+    f, scalar = (GF(p), st.integers(-p, 2 * p)) if p else (QQ, st.fractions(-3, 3, max_denominator=4))
+    rows = data.draw(st.lists(st.tuples(*[scalar] * n), min_size=nrows, max_size=nrows))
+    assert rref(f, rows) == o_rref(p, rows)
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(5), QQ], ids=repr)
+@pytest.mark.parametrize("rows", [[(1, 0), (1,)], [(0, 0, 0), (1, 1)], [(), (0,)]])
+def test_tuple_rref_refuses_ragged_rows(f, rows):
+    with pytest.raises(AmbientMismatchError):
+        rref(f, rows)
 
 
 @settings(max_examples=150)

@@ -30,7 +30,7 @@ from lieideals.errors import NotASubalgebraError
 from lieideals.exactfield import GF
 from lieideals.ideals import core, find_c_witness, ideals_of, lattice
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
-from lieideals.linspace import MASK_LIMIT, mat_vec, projective_points, vec_scale
+from lieideals.linspace import MASK_LIMIT, projective_points, vec_scale
 from lieideals.structure import is_supersolvable, maximal_subalgebras
 from lieideals.verify import default_corpus
 
@@ -165,11 +165,13 @@ def test_a_non_subalgebra_has_no_series():
 
 
 def _line_is_ideal(L, v):
-    # [e_i, v] must be a multiple of v for every basis vector
+    # [e_i, v] = sum_j v_j [e_i, e_j] must be a multiple of v for every
+    # basis vector; read off the table, not through the packed bracket
     f = L.field
     lead = next(j for j, a in enumerate(v) if a)
     for i in range(L.dim):
-        w = mat_vec(f, L.ad_matrix(i), v)
+        cols = [L.bracket_basis(i, j) for j in range(L.dim)]
+        w = tuple(f.norm(sum(c[r] * a for c, a in zip(cols, v))) for r in range(L.dim))
         if w != vec_scale(f, f.norm(w[lead] * f.inv(v[lead])), v):
             return False
     return True

@@ -4,6 +4,9 @@ The supersolvability oracle climbs enumerated ideal flags directly and
 never calls the greedy quotient recursion it is checking.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from lieideals import structure
@@ -37,6 +40,7 @@ from lieideals.structure import (
     structure_report,
 )
 from lieideals.verify import default_corpus
+from test_packed_kernel import o_rref
 
 
 def heis(f):
@@ -286,6 +290,89 @@ def test_supersolvable_rational_paths():
     L = LieAlgebra(QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, 2, 0)})
     assert L.is_solvable() and not L.is_nilpotent()
     assert is_supersolvable(L) is False
+
+
+# -- ad(x) over Q against the tuple matrix code it replaced ----------------
+
+
+def _ad_rows(L, x):
+    """ad(x) as coordinate rows, read off the table: column j is
+    sum_i x_i [e_i, e_j]."""
+    n = L.dim
+    cols = [
+        [sum(x[i] * L.bracket_basis(i, j)[r] for i in range(n)) for r in range(n)]
+        for j in range(n)
+    ]
+    return [[col[r] for col in cols] for r in range(n)]
+
+
+def o_char_poly(rows):
+    """Faddeev-LeVerrier on a row matrix: M <- A M + c I, c = -tr(A M) / k."""
+    n = len(rows)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = [[Fraction(0)] * n for _ in range(n)]
+    c = Fraction(1)
+    for k in range(1, n + 1):
+        M = [[sum(row[t] * M[t][j] for t in range(n)) for j in range(n)] for row in rows]
+        for i in range(n):
+            M[i][i] += c
+        tr = sum(rows[i][t] * M[t][i] for i in range(n) for t in range(n))
+        c = coeffs[n - k] = -tr / k
+    return coeffs
+
+
+def o_eigenspace(rows, lam):
+    """The RREF basis of ker(A - lam), one null vector per free column."""
+    n = len(rows)
+    shifted = [[a - lam if i == j else a for j, a in enumerate(row)] for i, row in enumerate(rows)]
+    red, pivots = o_rref(0, shifted)
+    null = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        null.append(v)
+    return o_rref(0, null)[0]
+
+
+Q_ALGEBRAS = {
+    "heisenberg": lambda: heis(QQ),
+    "almost_abelian4": lambda: almost_abelian(QQ, 4).algebra,
+    "sl2": lambda: sl2(QQ).algebra,
+    "sl2+heisenberg": lambda: direct_sum(sl2(QQ).algebra, heis(QQ)),
+    "almost_abelian3+nonabelian2": lambda: direct_sum(
+        almost_abelian(QQ, 3).algebra, two_dim_nonabelian(QQ).algebra
+    ),
+    "no-rational-eigenline": lambda: LieAlgebra(
+        QQ, 3, {(0, 1): (0, 0, 1), (0, 2): (0, 2, 0)}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_ALGEBRAS))
+def test_char_poly_and_eigenspaces_match_the_tuple_code(name):
+    L = Q_ALGEBRAS[name]()
+    n = L.dim
+    rng = random.Random(name)
+    xs = [unit_vector(QQ, n, i) for i in range(n)]
+    xs += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+           for _ in range(4)]
+    for x in xs:
+        rows = _ad_rows(L, x)
+        coeffs = structure._char_poly(L, L.space.pack(x))
+        assert coeffs == o_char_poly(rows)
+        lams = set(structure._rational_roots(coeffs, None)) | {Fraction(0), Fraction(1, 2)}
+        for lam in sorted(lams):
+            assert structure._eigenspace(L, L.space.pack(x), lam).rows == o_eigenspace(rows, lam)
+
+
+def test_divisors_make_at_most_budget_trial_divisions():
+    assert structure._divisors(-36, 6) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert structure._divisors(37, None) == [1, 37]
+    with pytest.raises(EnumerationUnsupportedError) as exc:
+        structure._divisors(37, 6)
+    assert str(exc.value) == "rational root search needs the divisors of 37, cap is 36"
 
 
 def test_supersolvable_gives_up_on_huge_root_extraction():

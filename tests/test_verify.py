@@ -65,6 +65,15 @@ def test_run_check_maps_budget_blowups_to_unsupported():
     assert "budget" in r.details["reason"]
 
 
+def test_lemma_5_1_over_q_is_unsupported_and_a_q_suite_runs():
+    # its line scan used to fail on Q's tuple space with an AttributeError
+    r = V.run_check("lemma-5.1", member("heisenberg-q", heisenberg(QQ)))
+    assert r.status == V.UNSUPPORTED and r.hypotheses == 0
+    assert r.details == {"reason": "subspace enumeration unsupported over infinite field Q"}
+    report = V.run_suite([member("heisenberg-q", heisenberg(QQ)), member("sl2-q", sl2(QQ))])
+    assert len(report.results) == 2 * len(V.ALL_CHECK_IDS)
+
+
 def test_an_undecided_predicate_reports_unsupported_with_its_bound():
     # GF(2)^20 has 1,048,575 lines, over the default budget of 10^6, so
     # is_simple gives up before the weak c-simplicity scan starts
