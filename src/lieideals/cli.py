@@ -51,8 +51,8 @@ PREDICATES = [
 _NEEDS_SUBSPACE = {"ideal", "subideal", "c-ideal", "weak-c-ideal", "core"}
 
 
-def _emit(doc, out):
-    out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _emit(doc):
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _verdict(flag):
@@ -88,20 +88,18 @@ def _check_with_witness(L, S, predicate, witness_doc):
     return out
 
 
-def cmd_check(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_check(args):
     built = _load_built(args.file)
     L = built.algebra
     predicate = args.predicate
     S = None
     if args.subspace is not None:
         if args.subspace not in built.subspaces:
-            err.write(f"no subspace named {args.subspace!r} in the document\n")
+            sys.stderr.write(f"no subspace named {args.subspace!r} in the document\n")
             return 2
         S = built.subspaces[args.subspace]
     if predicate in _NEEDS_SUBSPACE and S is None:
-        err.write(f"predicate {predicate} needs --subspace\n")
+        sys.stderr.write(f"predicate {predicate} needs --subspace\n")
         return 2
 
     if args.witness is not None:
@@ -110,13 +108,13 @@ def cmd_check(args, out=None, err=None):
                 witness_doc = json.load(fh)
             payload = _check_with_witness(L, S, predicate, witness_doc)
         except (LieIdealsError, ValueError, KeyError, TypeError, RecursionError) as e:
-            err.write(f"bad witness file: {e}\n")
+            sys.stderr.write(f"bad witness file: {e}\n")
             return 2
-        _emit(payload, out)
+        _emit(payload)
         return 0
 
     if S is not None and predicate not in _NEEDS_SUBSPACE and not L.is_subalgebra(S):
-        err.write("named subspace is not a subalgebra\n")
+        sys.stderr.write("named subspace is not a subalgebra\n")
         return 2
 
     try:
@@ -152,24 +150,20 @@ def cmd_check(args, out=None, err=None):
                 "verdict": _verdict(decide(target, budget=args.budget)),
             }
     except (BudgetExceededError, EnumerationUnsupportedError) as e:
-        _emit({"predicate": predicate, "verdict": "unsupported", "reason": str(e)}, out)
+        _emit({"predicate": predicate, "verdict": "unsupported", "reason": str(e)})
         return 3
-    _emit(payload, out)
+    _emit(payload)
     return 0
 
 
-def cmd_lattice(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_lattice(args):
     built = _load_built(args.file)
     report = structure_report(built.algebra, budget=args.budget)
-    _emit(report, out)
+    _emit(report)
     return 3 if "unsupported" in report.get("lattice", {}) else 0
 
 
-def cmd_series(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_series(args):
     built = _load_built(args.file)
     rep = built.algebra.series(args.kind)
     _emit(
@@ -177,20 +171,14 @@ def cmd_series(args, out=None, err=None):
             "kind": rep.kind,
             "reaches_zero": rep.reaches_zero,
             "terms": [t.basis_strings() for t in rep.terms],
-        },
-        out,
+        }
     )
     return 0
 
 
-def cmd_verify(args, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_verify(args):
     report = run_suite()
-    if args.json:
-        out.write(report.json_text())
-    else:
-        out.write(report.text_table())
+    sys.stdout.write(report.json_text() if args.json else report.text_table())
     return report.exit_code
 
 

@@ -210,6 +210,7 @@ def core(L, B):
 
 def ideal_closure(L, B, K):
     """Smallest ideal of the subalgebra K containing B (requires B <= K)."""
+    L.check_compatible(B, K)
     if not B <= K:
         raise NotContainedError("ideal closure needs B contained in K")
     return closure(L.field, L.dim, B.vecs, lambda u: [L.bracket(k, u) for k in K.vecs])

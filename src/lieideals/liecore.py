@@ -10,6 +10,9 @@ inside, the table holds vectors of ``field.space(dim)`` (packed ints over
 GF(p)), and ``bracket``, ``ad_images`` and ``transposed_ad_images`` take
 and give such vectors.  No operator is kept as a matrix: ad(x) is applied
 by ``bracket(x, .)``, and its columns [x, e_j] are minus ``ad_images(x)``.
+Centralizers and normalizers are solution spaces in L's own coordinates;
+a :class:`~lieideals.linspace.SectionMap` is built only to make a section
+algebra (``quotient``, ``restrict``).
 """
 
 from dataclasses import dataclass
@@ -177,9 +180,18 @@ class LieAlgebra:
         """The subspace spanned by vectors of ``space``."""
         return span_vecs(self.field, self.dim, vecs)
 
+    def check_compatible(self, *subspaces):
+        """Raise FieldMismatchError or AmbientMismatchError unless every
+        subspace lies in this algebra's space; a subspace of that space
+        costs one identity test."""
+        for S in subspaces:
+            if S.space is not self.space:
+                self.zero_space().check_compatible(S)
+
     def product_space(self, A, B):
         """Span of all brackets [a, b] over basis pairs of A and B.  The
         bracket is alternating, so [A, A] needs each unordered pair once."""
+        self.check_compatible(A, B)
         if A == B:
             vecs = A.vecs
             brackets = [self.bracket(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1:]]
@@ -190,7 +202,7 @@ class LieAlgebra:
     def is_subalgebra(self, S):
         """Whether S is bracket-closed: each unordered pair of basis rows is
         bracketed once, up to the first bracket outside S."""
-        self.zero_space().check_compatible(S)
+        self.check_compatible(S)
         vecs, reduce, is_zero = S.vecs, S.reduce, S.space.is_zero
         return all(
             is_zero(reduce(self.bracket(a, b))) for i, a in enumerate(vecs) for b in vecs[i + 1:]
@@ -236,25 +248,25 @@ class LieAlgebra:
             ("nilpotent", S), lambda: self.series(LOWER_CENTRAL, S).reaches_zero
         )
 
-    def centralizer(self, A):
-        """{x : [x, a] = 0 for all a in A}, as an exact solution space: the
-        kernels of the maps x -> [x, a], met over a basis of A."""
+    def _bracketing_into(self, A, T):
+        """{x : [x, a] in T for every a in A}, as an exact solution space:
+        the kernels of the maps x -> [x, a] reduced modulo T, met over a
+        basis of A.  Reduction modulo T's RREF basis is linear and vanishes
+        exactly on T, so each kernel is that of x -> [x, a] + T into L/T."""
+        self.check_compatible(A, T)
         C = self.full_space()
         for a in A.vecs:
-            C = C & kernel(self.field, self.dim, self.ad_images(a), self.dim)
+            images = [T.reduce(w) for w in self.ad_images(a)]
+            C = C & kernel(self.field, self.dim, images, self.dim)
         return C
 
+    def centralizer(self, A):
+        """{x : [x, a] = 0 for all a in A}."""
+        return self._bracketing_into(A, self.zero_space())
+
     def normalizer(self, B):
-        """{x : [x, B] <= B}, as an exact solution space: the kernels of the
-        maps x -> [x, b] + B into L/B, met over a basis of B."""
-        smap = SectionMap(self.full_space(), B)
-        N = self.full_space()
-        if smap.dim == 0:
-            return N
-        for b in B.vecs:
-            images = [smap.project(w) for w in self.ad_images(b)]
-            N = N & kernel(self.field, self.dim, images, smap.dim)
-        return N
+        """{x : [x, B] <= B}."""
+        return self._bracketing_into(B, B)
 
     def center(self):
         return self.centralizer(self.full_space())

@@ -9,11 +9,12 @@ predicate that cannot decide raises BudgetExceededError or
 EnumerationUnsupportedError rather than guessing; the front ends turn the
 raise into "unsupported".
 
-The matrix code (Norton's test, the characteristic polynomial and the
-eigenspaces of ad(x)) keeps each matrix as the list of its columns,
-vectors of ``field.space(n)``, and works through the ``linspace`` kernel:
-``rref``, ``kernel``, ``right_kernel``, ``closure`` and the space's
-``lin_comb``.  Over Q the root search factors coefficients by trial
+Norton's test works in L's coordinates: its test element is the list of
+its images of V's basis, and its dual step is the closure under
+``L.transposed_ad_images`` that ``ideals.core`` runs.  The characteristic
+polynomial and eigenspaces of ad(x) keep a matrix as the list of its
+columns.  All of it runs on vectors of ``field.space(n)`` through the
+``linspace`` kernel.  Over Q the root search factors coefficients by trial
 division, at most ``budget`` steps each.
 """
 
@@ -29,8 +30,8 @@ from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
     EchelonBasis,
-    SectionMap,
     Subspace,
+    annihilator,
     check_enumeration,
     closure,
     kernel,
@@ -38,6 +39,7 @@ from .linspace import (
     right_kernel,
     rref,
     solve,
+    span_vecs,
 )
 
 
@@ -63,50 +65,34 @@ def _norton(L, V):
 
     True when V is a minimal ideal, False when it properly contains a
     nonzero ideal, None when no test element qualifies.  The test element
-    is theta = R_i - lam, with R_i the action of ad(e_i) on V in the
-    coordinates of the section V/0, of least nullity k with 0 < k < dim V
-    (first i, then lam, breaks ties).  V is irreducible exactly when every
-    line of ker theta spins to V and one vector of ker theta^T spins to V*
-    under the R_i^T: a proper ideal W meeting ker theta in 0 has
-    theta(W) = W inside im theta, so ker theta^T annihilates W and spins
-    inside W's annihilator.
-
-    Each matrix is the list of its columns, vectors of F^dim V; the rank
-    of theta is the rank of its columns.
+    is theta = ad(e_i) - lam on V, given by its images of V's basis, of
+    least nullity k with 0 < k < dim V (first i, then lam, breaks ties).
+    V is irreducible exactly when every line of ker theta spins to V and
+    core's dual closure of ann(V) and one y in ann(im theta) outside ann(V)
+    is full: a proper ideal W meeting ker theta in 0 has theta(W) = W
+    inside im theta, so y vanishes on W, and the closure lies in ann(W).
     """
-    f = L.field
-    d = V.dim
-    smap = SectionMap(V, L.zero_space())
-    W = smap.space
-    units = [W.unit(a) for a in range(d)]
-    # column a of R[i] is ad(e_i) applied to V's a-th basis vector
-    R = [[] for _ in range(L.dim)]
-    for r in V.vecs:
-        for Ri, w in zip(R, L.ad_images(r)):
-            Ri.append(smap.project(w))
+    f, space, n, d = L.field, L.space, L.dim, V.dim
+    # row a of images is ad_images(v_a): entry i is [e_i, v_a], in V
+    images = [L.ad_images(v) for v in V.vecs]
     best = None
-    for Ri in R:
+    for i in range(n):
         for lam in f.elements():
-            theta = [W.submul(c, lam, e) if lam else c for c, e in zip(Ri, units)]
-            k = d - len(rref(f, [W.unpack(c) for c in theta])[1])
+            theta = [space.submul(w[i], lam, v) if lam else w[i]
+                     for w, v in zip(images, V.vecs)]
+            k = d - len(rref(f, [space.unpack(c) for c in theta])[1])
             if 0 < k < d and (best is None or k < best[0]):
                 best = (k, theta)
     if best is None:
         return None
-    theta = best[1]
-    ker = smap.preimage_subspace(kernel(f, d, theta, d))
+    theta, coords = best[1], f.space(d)
+    ker = kernel(f, d, theta, n).vecs
+    ker = span_vecs(f, n, [space.lin_comb(coords.unpack(c), V.vecs) for c in ker])
     if any(spin(L, v).dim < d for v in _points(ker)):
         return False
-    # the rows of theta^T are the columns of theta, and the columns of R_i^T
-    # are the rows of R_i, which R_i^T y combines with the coordinates of y
-    w = right_kernel(f, theta, d)[0]
-    Rt = [[W.pack(row) for row in zip(*map(W.unpack, Ri))] for Ri in R]
-
-    def images(y):
-        ys = W.unpack(y)
-        return [W.lin_comb(ys, cols) for cols in Rt]
-
-    return closure(f, d, [w], images).dim == d
+    ann = annihilator(V)
+    y = next(y for y in right_kernel(f, theta, n) if y not in ann)
+    return closure(f, n, [y, *ann.vecs], L.transposed_ad_images).is_full()
 
 
 def minimal_ideals(L, budget=DEFAULT_BUDGET):

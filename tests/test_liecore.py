@@ -25,15 +25,17 @@ from lieideals.corpus import (
 )
 from lieideals.errors import (
     AmbientMismatchError,
+    FieldMismatchError,
     JacobiError,
     NotAnIdealError,
     NotASubalgebraError,
     NotContainedError,
 )
 from lieideals.exactfield import GF, QQ
-from lieideals.ideals import find_weak_c_witness, lattice
+from lieideals.ideals import find_weak_c_witness, ideal_closure, lattice
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
-from lieideals.linspace import unit_vector
+from lieideals.linspace import Subspace, unit_vector
+from test_parent_answers import ALGEBRAS
 
 PACKAGE = Path(lieideals.__file__).parent
 
@@ -271,6 +273,73 @@ def test_centralizer_normalizer_center():
     u0 = unit_vector(QQ, 3, 1)
     assert S.centralizer(S.span([u0])) == S.span([u0])
     assert S.normalizer(S.span([u0])).dim == 1
+
+
+def _brute_centralizer_and_normalizer(L, S):
+    """C(S) and N(S) by a scan of all q^n elements x, each tested on S's
+    basis with brackets built from the structure constants and S's
+    elements listed one by one."""
+    f, space, n = L.field, L.space, L.dim
+    members = {space.zero}
+    for s in S.vecs:
+        members = {space.add(m, space.scale(c, s)) for m in members for c in f.elements()}
+    # ad_s[i] = [e_i, s] = sum_j s_j [e_i, e_j]
+    ads = []
+    for s in S.rows:
+        ads.append([space.pack(tuple(
+            f.norm(sum(s[j] * L.bracket_basis(i, j)[k] for j in range(n))) for k in range(n)
+        )) for i in range(n)])
+    C, N = [], []
+    for x in itertools.product(f.elements(), repeat=n):
+        brackets = [space.lin_comb(x, ad) for ad in ads]
+        if all(b == space.zero for b in brackets):
+            C.append(x)
+        if all(b in members for b in brackets):
+            N.append(x)
+    return C, N
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_centralizer_and_normalizer_match_a_scan_of_all_elements(name):
+    L = ALGEBRAS[name]
+    q = L.field.p
+    for S in lattice(L).subalgebras:
+        C, N = _brute_centralizer_and_normalizer(L, S)
+        assert L.centralizer(S) == L.span(C) and len(C) == q ** L.centralizer(S).dim
+        assert L.normalizer(S) == L.span(N) and len(N) == q ** L.normalizer(S).dim
+
+
+def _subspaces_of_heisenberg(field, ambient):
+    """(B, K): the line of e1 and the plane of e1, e2 in field^ambient."""
+    units = [unit_vector(field, ambient, i) for i in range(2)]
+    return Subspace(field, ambient, units[:1]), Subspace(field, ambient, units)
+
+
+_TAKES_SUBSPACES = {
+    "product_space": lambda L, B, K: L.product_space(K, K),
+    "product_space-mixed": lambda L, B, K: L.product_space(L.full_space(), K),
+    "ideal_closure": lambda L, B, K: ideal_closure(L, B, K),
+    "normalizer": lambda L, B, K: L.normalizer(B),
+    "centralizer": lambda L, B, K: L.centralizer(B),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("method", sorted(_TAKES_SUBSPACES))
+@pytest.mark.parametrize("field,ambient,error", [
+    (GF(2), 3, FieldMismatchError),
+    (GF(5), 3, FieldMismatchError),
+    (GF(3), 4, AmbientMismatchError),
+], ids=["GF2", "GF5", "ambient4"])
+def test_a_subspace_of_another_space_is_refused(method, field, ambient, error, warm):
+    # read as GF(3) vectors, a GF(2) plane of heisenberg(GF(3)) brackets to
+    # 0 and its ideal closure holds the non-residue 4; GF(5) rows overflow
+    L = heis(GF(3))
+    run = _TAKES_SUBSPACES[method]
+    if warm:
+        run(L, *_subspaces_of_heisenberg(GF(3), 3))
+    with pytest.raises(error):
+        run(L, *_subspaces_of_heisenberg(field, ambient))
 
 
 # -- quotients and restrictions ---------------------------------------------

@@ -93,3 +93,26 @@ def test_only_linspace_reads_pivots():
             if isinstance(node, ast.Attribute) and node.attr == "pivots":
                 readers.add(path.stem)
     assert readers == {"linspace"}
+
+
+def _callers(node, scope, callee, found):
+    """Add to ``found`` the dotted name of each def or class in ``node``
+    (``scope`` names node) that calls ``callee``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            _callers(child, f"{scope}.{child.name}", callee, found)
+            continue
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and callee in (getattr(func, "id", None),
+                                                      getattr(func, "attr", None)):
+            found.add(scope)
+        _callers(child, scope, callee, found)
+
+
+def test_only_section_algebras_build_a_section_map():
+    # centralizers, normalizers and Norton's test work in L's coordinates;
+    # a section map is made only to build a section as an algebra
+    callers = set()
+    for path in sorted(Path(lieideals.__file__).parent.glob("*.py")):
+        _callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, "SectionMap", callers)
+    assert callers == {"liecore.LieAlgebra._section", "liecore.LieAlgebra._whole"}

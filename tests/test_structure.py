@@ -223,6 +223,19 @@ def test_minimal_ideals_and_simplicity_match_the_spin_oracle(make):
     assert is_simple(L) is (L.dim > 1 and mins == [L.full_space()])
 
 
+@pytest.mark.parametrize(
+    "make", [make for _, make in ORACLE_CASES], ids=[name for name, _ in ORACLE_CASES]
+)
+def test_nortons_verdict_on_every_ideal_is_whether_it_is_minimal(make):
+    # minimal_ideals falls back to spinning points on a False verdict, so a
+    # test that refutes an irreducible ideal would cost only spins there
+    L = make()
+    mins = spin_oracle(L)
+    for V in ideals_of(L):
+        if not V.is_zero():
+            assert structure._norton(L, V) in (None, V in mins)
+
+
 def test_example34_minimal_ideal_spins_few_points(monkeypatch):
     built = example34(GF(3), 3)
     calls = []
