@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PresetError
 from .exactfield import PrimeField
 from .liecore import LieAlgebra
-from .linspace import unit_vector, vec_scale
+from .linspace import unit_vector
 
 
 @dataclass
@@ -109,7 +109,7 @@ def example34(f, p):
             return
         if r > c:
             r, c = c, r
-            vec = vec_scale(f, -1, vec)
+            vec = tuple(f.norm(-a) for a in vec)
         if any(a != f.zero for a in vec):
             brackets[(r, c)] = vec
 

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .exactfield import GF, RationalField, field_from_name
 from .liecore import LieAlgebra
-from .linspace import vec_add, vec_scale, zero_vector
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _BRACKET_RE = re.compile(r"\[\s*([^\[\],]+?)\s*,\s*([^\[\],]+?)\s*\]\s*=\s*(.*)\Z")
@@ -48,7 +47,7 @@ def _parse_combination(f, text, label_index, dim, line_no, line_text):
     a coordinate vector.  The single literal 0 is the zero vector."""
     s = text.strip()
     if s == "0":
-        return zero_vector(f, dim)
+        return (f.zero,) * dim
     if not s:
         raise ParseError("empty linear combination", line_no, _column(line_text, text))
     # rewrite binary minus as plus-negative, then split into signed terms
@@ -69,7 +68,7 @@ def _parse_combination(f, text, label_index, dim, line_no, line_text):
         pieces.append((sign, cur.strip()))
     if not pieces:
         raise ParseError("empty linear combination", line_no, _column(line_text, text))
-    vec = zero_vector(f, dim)
+    vec = [f.zero] * dim
     for sgn, piece in pieces:
         if "*" in piece:
             scalar_text, _, label = piece.partition("*")
@@ -89,10 +88,9 @@ def _parse_combination(f, text, label_index, dim, line_no, line_text):
             )
         if sgn < 0:
             coeff = f.norm(-coeff)
-        term = [f.zero] * dim
-        term[label_index[label]] = coeff
-        vec = vec_add(f, vec, tuple(term))
-    return vec
+        k = label_index[label]
+        vec[k] = f.norm(vec[k] + coeff)
+    return tuple(vec)
 
 
 def _parse_call(text, line_no):
@@ -270,7 +268,7 @@ def parse_document(text):
                     f"bracket [{a},{b}] defined twice", no, 1
                 )
             if i > j:
-                vec = vec_scale(f, -1, vec)
+                vec = tuple(f.norm(-a) for a in vec)
             brackets[key] = vec
         algebra = LieAlgebra(f, dim, brackets, labels=labels)
         built = BuiltAlgebra(algebra)

@@ -17,18 +17,26 @@ Vectors have two representations under one API, ``field.space(n)``:
   coordinate tuples.  Addition is XOR for p = 2; for odd p a sum of two
   residues stays inside its slot and one add-and-mask folds it back into
   ``0..p-1``;
-- over Q (:class:`TupleSpace`) a vector is a tuple of Fractions.
+- over Q (:class:`RationalSpace`) a vector of Q^n is one tuple of n + 1
+  ints: the n numerators over one positive common denominator, last, in
+  lowest terms (the gcd of all n + 1 is 1).  The zero vector is
+  ``(0, ..., 0, 1)``.  The form is canonical, so equal vectors are equal
+  tuples, and sums, multiples and row reduction run on ints and divide
+  once per result by a gcd; no Fraction is built on the way.
 
 Every slot shift and mask lives in this module and in ``linspace``.  The
 public boundary of the library (``Subspace(field, n, vectors)``,
 ``Subspace.rows``, the ``LieAlgebra`` constructor and ``bracket_basis``,
-``span``, ``basis_strings``) speaks coordinate tuples; ``pack`` and
-``unpack`` convert.
+``span``, ``basis_strings``) speaks coordinate tuples, of Fractions over
+Q; ``pack`` and ``unpack`` convert.  Scalars at the API edge stay field
+elements: ``entry`` returns one, and ``scale``, ``submul`` and ``lin_comb``
+take them.
 """
 
 import bisect
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -332,82 +340,157 @@ class GF2Space(PackedSpace):
         return True
 
 
-class TupleSpace(_Space):
-    """Q^n, each vector a tuple of n Fractions."""
+def _lowest(w):
+    """The vector of Q^n whose n numerators and nonzero denominator are the
+    ints of the list w, in lowest terms with a positive denominator."""
+    g = math.gcd(*w)
+    if w[-1] < 0:
+        g = -g
+    if g != 1:
+        w = [a // g for a in w]
+    return tuple(w)
+
+
+class RationalSpace(_Space):
+    """Q^n, each vector a tuple of n integer numerators and one positive
+    common denominator, in lowest terms, in the layout of the module
+    docstring.  Only ``unpack`` and ``entry`` build a Fraction."""
 
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.zero = (field.zero,) * n
+        self.zero = (0,) * n + (1,)
 
     def pack(self, coords):
-        return tuple(coords)
+        """The vector with the given int or Fraction coordinates: over the
+        lcm of their denominators, which leaves it in lowest terms."""
+        d = math.lcm(*[a.denominator for a in coords])
+        return tuple([a.numerator * (d // a.denominator) for a in coords] + [d])
 
     def unpack(self, v):
         self.check(v)
-        return v
-
-    coords = unpack
+        d = v[-1]
+        return tuple([Fraction(a, d) for a in v[:-1]])
 
     def check(self, v):
-        if len(v) != self.n:
-            raise AmbientMismatchError(f"vector of length {len(v)} in ambient dimension {self.n}")
+        """Raise unless v is a vector of this space."""
+        if not (type(v) is tuple and len(v) == self.n + 1 and all(type(a) is int for a in v)
+                and v[-1] > 0 and math.gcd(*v) == 1):
+            raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
+
+    def ratio(self, nums, d):
+        """The vector with numerators ``nums`` (a list of n ints) over the
+        nonzero int d."""
+        return _lowest(nums + [d])
 
     def unit(self, j):
-        f = self.field
-        return tuple(f.one if i == j else f.zero for i in range(self.n))
+        w = [0] * self.n + [1]
+        w[j] = 1
+        return tuple(w)
 
     @staticmethod
     def entry(v, j):
-        return v[j]
+        a = v[j]
+        return Fraction(a, v[-1]) if a else 0
 
-    @staticmethod
-    def lead(v):
-        return next(((j, a) for j, a in enumerate(v) if a), None)
+    def is_zero(self, v):
+        return v == self.zero
 
-    @staticmethod
-    def is_zero(v):
-        return not any(v)
-
-    # zero entries are passed through: Fraction arithmetic costs far more
-    # than the test
-
-    @staticmethod
-    def add(u, v):
-        return tuple([a + b if b else a for a, b in zip(u, v)])
+    def add(self, u, v):
+        du, dv = u[-1], v[-1]
+        if du == dv:
+            w = [a + b for a, b in zip(u, v)]
+        else:
+            w = [a * dv + b * du for a, b in zip(u, v)]
+            du *= dv
+        w[-1] = du
+        return _lowest(w)
 
     @staticmethod
     def neg(v):
-        return tuple([-a if a else a for a in v])
+        w = [-a for a in v]
+        w[-1] = v[-1]
+        return tuple(w)
 
-    @staticmethod
-    def scale(c, v):
-        return tuple([c * a if a else a for a in v])
+    def scale(self, c, v):
+        """c * v for an int or Fraction c."""
+        cn = c.numerator
+        if not cn:
+            return self.zero
+        w = [a * cn for a in v]
+        w[-1] = v[-1] * c.denominator
+        return _lowest(w)
 
     @staticmethod
     def submul(v, c, row):
-        return tuple([a - c * b if b else a for a, b in zip(v, row)])
+        """v - c * row for an int or Fraction c."""
+        cn, cd = c.numerator, c.denominator
+        dv, dr = v[-1], row[-1]
+        mv, mr = dr * cd, cn * dv
+        w = [a * mv - b * mr for a, b in zip(v, row)]
+        w[-1] = dv * mv
+        return _lowest(w)
 
-    def scaler(self, v):
-        return lambda c: self.scale(c, v)
+    def lin_comb(self, coeffs, vectors):
+        """Sum of ``coeffs[i] * vectors[i]`` over the lcm of the terms'
+        denominators."""
+        terms = [(c.numerator, c.denominator * v[-1], v) for c, v in zip(coeffs, vectors) if c]
+        d = math.lcm(*[m for _, m, _ in terms])
+        out = [0] * self.n
+        for cn, m, v in terms:
+            k = cn * (d // m)
+            out = [a + k * b for a, b in zip(out, v)]
+        return self.ratio(out, d)
 
     @staticmethod
-    def dot(u, v):
-        return sum([a * b for a, b in zip(u, v) if a and b])
-
-    def reduce(self, v, vectors, pivots):
+    def reduce(v, vectors, pivots):
+        """Residual of v after elimination by an RREF basis.  A row's
+        numerator equals its denominator d_r at its pivot c, so
+        v - v_c row = (a d_r - a_c r) / (d_v d_r) needs no division; the
+        result is put in lowest terms once."""
+        out = v
         for row, col in zip(vectors, pivots):
-            if v[col]:
-                v = self.submul(v, v[col], row)
-        return v
+            c = out[col]
+            if c:
+                dr = row[-1]
+                w = [a * dr - c * b for a, b in zip(out, row)]
+                w[-1] = out[-1] * dr
+                out = w
+        return v if out is v else _lowest(out)
 
-    @staticmethod
-    def join(a, b, other):
-        return a + b
+    def insert(self, vectors, pivots, v):
+        # as _Space.insert: the new row is v over its lead numerator, so
+        # that numerator and denominator agree at its pivot; the
+        # denominator is nonzero, so the scan for the lead ends there
+        res = self.reduce(v, vectors, pivots)
+        p = next(j for j, a in enumerate(res) if a)
+        if p == self.n:
+            return False
+        row = list(res)
+        row[-1] = res[p]
+        row = _lowest(row)
+        pos = bisect.bisect(pivots, p)
+        for i in range(pos):
+            if vectors[i][p]:
+                vectors[i] = self.reduce(vectors[i], (row,), (p,))
+        vectors.insert(pos, row)
+        pivots.insert(pos, p)
+        return True
+
+    def join(self, a, b, other):
+        """The vector (a, b) of Q^(n + m), for a in this space and b in
+        other = Q^m: over the lcm of their denominators."""
+        da, db = a[-1], b[-1]
+        if da == db:
+            return a[:-1] + b
+        d = math.lcm(da, db)
+        ka, kb = d // da, d // db
+        return tuple([x * ka for x in a[:-1]] + [y * kb for y in b[:-1]] + [d])
 
     @staticmethod
     def tail(v, other):
-        return v[len(v) - other.n:]
+        """The last m coordinates of a vector of Q^(n + m), other = Q^m."""
+        return _lowest(list(v[-1 - other.n:]))
 
 
 class Field:
@@ -493,7 +576,7 @@ class RationalField(Field):
         self.one = Fraction(1)
         self._spaces = {}
 
-    _space_type = TupleSpace
+    _space_type = RationalSpace
 
     def __repr__(self):
         return "Q"

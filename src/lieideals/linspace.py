@@ -2,18 +2,22 @@
 
 Vectors come in two representations under one API, the coordinate space
 ``field.space(n)`` of :mod:`~lieideals.exactfield`: over GF(p) a vector is
-one packed int, over Q a tuple of Fractions.  Row reduction
+one packed int, over Q a tuple of integer numerators followed by their
+positive common denominator, in lowest terms.  Row reduction
 (:class:`EchelonBasis`), closures, kernels, intersections, section maps
 and enumeration work on those vectors through the space's operations.  A
 :class:`Subspace` stores the unique reduced row echelon basis of its row
 space (``vecs``), so subspace equality is plain tuple equality and every
-subspace has one canonical representation; int order of packed vectors is
-the order of their coordinate tuples, so every ordering is as before.
+subspace has one canonical representation.  Int order of packed vectors is
+the order of their coordinate tuples; over Q, ``Subspace.sort_key``
+compares the rows as Fractions, so every ordering is that of the
+coordinates.
 
-The boundary speaks coordinate tuples: ``Subspace(field, n, vectors)``,
-``span``, ``Subspace.rows``, membership of a tuple, ``basis_strings`` and
-``from_basis_strings``, and the tuple entry points ``rref`` and ``solve``,
-which row-reduce through :class:`EchelonBasis` like every other caller.
+The boundary speaks coordinate tuples (of Fractions over Q):
+``Subspace(field, n, vectors)``, ``span``, ``Subspace.rows``, membership of
+a tuple of n coordinates, ``basis_strings`` and ``from_basis_strings``, and
+the tuple entry points ``rref`` and ``solve``, which row-reduce through
+:class:`EchelonBasis` like every other caller.
 """
 
 import functools
@@ -34,22 +38,8 @@ DEFAULT_BUDGET = 10**6
 # coordinate-tuple helpers
 # ---------------------------------------------------------------------------
 
-def zero_vector(field, n):
-    return (field.zero,) * n
-
-
 def unit_vector(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
-def vec_add(field, u, v):
-    norm = field.norm
-    return tuple(norm(a + b) for a, b in zip(u, v))
-
-
-def vec_scale(field, c, v):
-    norm = field.norm
-    return tuple(norm(c * a) for a in v)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +191,9 @@ def kernel(field, n, images, m):
 class Subspace:
     """A subspace of coordinate n-space in canonical RREF form.  ``vecs``
     holds the basis rows as vectors of ``field.space(n)`` (packed ints over
-    GF(p)) and ``rows`` the same rows as coordinate tuples.  It is never
-    changed once built, so its hash is computed once, by the constructor."""
+    GF(p), numerator tuples over Q) and ``rows`` the same rows as coordinate
+    tuples.  It is never changed once built, so its hash is computed once,
+    by the constructor."""
 
     __slots__ = ("field", "ambient", "space", "vecs", "pivots", "dim", "_hash")
 
@@ -262,13 +253,11 @@ class Subspace:
         return self.space.reduce(v, self.vecs, self.pivots)
 
     def __contains__(self, v):
-        """Whether v, a vector of ``space`` or a coordinate tuple, lies in S."""
+        """Whether v lies in S: a coordinate tuple has n entries, anything
+        else must be a vector of ``space``.  Over Q both are tuples, and a
+        vector has n + 1 entries."""
         space = self.space
-        if isinstance(v, tuple):
-            if len(v) != self.ambient:
-                raise AmbientMismatchError(
-                    f"vector of length {len(v)} in ambient dimension {self.ambient}"
-                )
+        if isinstance(v, tuple) and len(v) == self.ambient:
             v = space.pack(v)
         else:
             space.check(v)
@@ -313,8 +302,9 @@ class Subspace:
         return self._hash
 
     def sort_key(self):
-        # int order of packed vectors is the order of their coordinate tuples
-        return (self.dim, self.vecs)
+        # int order of packed vectors is the order of their coordinate
+        # tuples; Q vectors are compared as their coordinates
+        return (self.dim, self.vecs if isinstance(self.field, PrimeField) else self.rows)
 
     def __repr__(self):
         return f"Subspace({self.field}^{self.ambient}, dim {self.dim})"

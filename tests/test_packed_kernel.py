@@ -1,14 +1,24 @@
-"""The packed GF(p) kernel against the tuple kernel it replaced.
+"""The packed GF(p) kernel and the integer Q kernel against the tuple
+kernels they replaced.
 
 Over GF(p) a vector is one int, coordinate j in a w-bit slot at position
 n-1-j.  The oracle below is the tuple kernel as it stood before packing
 (tuples of residues, one scalar at a time); it lives only here.  Every
 packed result is unpacked and compared with it, for slot widths 1, 3, 4, 4
 and 9, on matrices drawn by hypothesis.
+
+Over Q a vector is a tuple of integer numerators followed by their
+positive common denominator, in lowest terms.  Its oracle is the kernel of
+Fraction tuples that it replaced (``TupleSpace``, kept here only), run
+through the same ``linspace`` algorithms on a field that differs from Q
+only in that kernel; the bilinear maps are checked against plain Fraction
+sums.
 """
 
 import ast
+import bisect
 import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieideals
-from lieideals.errors import AmbientMismatchError, NotContainedError
-from lieideals.exactfield import GF, QQ
+from lieideals.errors import AmbientMismatchError, JacobiError, NotContainedError
+from lieideals.exactfield import GF, QQ, RationalField
 from lieideals.liecore import LieAlgebra
 from lieideals.linspace import (
     MASK_LIMIT,
@@ -151,23 +161,143 @@ def o_lift(p, n, K, I, coords):
     return tuple(v)
 
 
+def o_norm(p):
+    """The canonical representative over GF(p), or over Q for p = 0."""
+    return (lambda a: a % p) if p else Fraction
+
+
 def o_bracket(p, table, x, y):
+    norm = o_norm(p)
     n = len(x)
     out = [0] * n
     for (i, j), v in table.items():
         c = x[i] * y[j] - x[j] * y[i]
-        out = [(a + c * b) % p for a, b in zip(out, v)]
+        out = [norm(a + c * b) for a, b in zip(out, v)]
     return tuple(out)
 
 
 def o_transposed_ad_images(p, table, n, y):
+    norm = o_norm(p)
     images = {}
     for (i, j), v in table.items():
-        s = sum(a * b for a, b in zip(v, y)) % p
+        s = norm(sum(a * b for a, b in zip(v, y)))
         if s:
             images.setdefault(i, [0] * n)[j] = s
-            images.setdefault(j, [0] * n)[i] = -s % p
+            images.setdefault(j, [0] * n)[i] = norm(-s)
     return {tuple(w) for w in images.values()}
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-tuple kernel over Q, as an oracle
+# ---------------------------------------------------------------------------
+
+class TupleSpace:
+    """Q^n, each vector a tuple of n Fractions: the Q kernel as it stood
+    before integer numerators, with the generic ``lin_comb`` and
+    ``insert`` it shared with the packed spaces."""
+
+    def __init__(self, field, n):
+        self.field = field
+        self.n = n
+        self.zero = (field.zero,) * n
+
+    def __repr__(self):
+        return f"{self.field}^{self.n}"
+
+    def pack(self, coords):
+        return tuple(coords)
+
+    def unpack(self, v):
+        self.check(v)
+        return v
+
+    def check(self, v):
+        if len(v) != self.n:
+            raise AmbientMismatchError(f"vector of length {len(v)} in ambient dimension {self.n}")
+
+    def unit(self, j):
+        f = self.field
+        return tuple(f.one if i == j else f.zero for i in range(self.n))
+
+    @staticmethod
+    def entry(v, j):
+        return v[j]
+
+    @staticmethod
+    def lead(v):
+        return next(((j, a) for j, a in enumerate(v) if a), None)
+
+    @staticmethod
+    def is_zero(v):
+        return not any(v)
+
+    @staticmethod
+    def add(u, v):
+        return tuple([a + b if b else a for a, b in zip(u, v)])
+
+    @staticmethod
+    def neg(v):
+        return tuple([-a if a else a for a in v])
+
+    @staticmethod
+    def scale(c, v):
+        return tuple([c * a if a else a for a in v])
+
+    @staticmethod
+    def submul(v, c, row):
+        return tuple([a - c * b if b else a for a, b in zip(v, row)])
+
+    @staticmethod
+    def dot(u, v):
+        return sum([a * b for a, b in zip(u, v) if a and b])
+
+    def reduce(self, v, vectors, pivots):
+        for row, col in zip(vectors, pivots):
+            if v[col]:
+                v = self.submul(v, v[col], row)
+        return v
+
+    @staticmethod
+    def join(a, b, other):
+        return a + b
+
+    @staticmethod
+    def tail(v, other):
+        return v[len(v) - other.n:]
+
+    def lin_comb(self, coeffs, vectors):
+        out = self.zero
+        for c, v in zip(coeffs, vectors):
+            if c:
+                out = self.add(out, self.scale(c, v))
+        return out
+
+    def insert(self, vectors, pivots, v):
+        res = self.reduce(v, vectors, pivots)
+        lead = self.lead(res)
+        if lead is None:
+            return False
+        p, c = lead
+        if c != 1:
+            res = self.scale(self.field.inv(c), res)
+        pos = bisect.bisect(pivots, p)
+        for i in range(pos):
+            c = self.entry(vectors[i], p)
+            if c:
+                vectors[i] = self.submul(vectors[i], c, res)
+        vectors.insert(pos, res)
+        pivots.insert(pos, p)
+        return True
+
+
+class TupleQ(RationalField):
+    """Q with the Fraction-tuple kernel: ``linspace`` run on it is the
+    oracle of ``linspace`` run on QQ."""
+
+    _space_type = TupleSpace
+
+
+OQ = TupleQ()
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +514,250 @@ def test_equal_subspaces_from_every_constructor_are_equal_and_hash_equal(case):
 
 
 # ---------------------------------------------------------------------------
+# Q: integer numerators against the Fraction-tuple kernel
+# ---------------------------------------------------------------------------
+
+# the values of st.fractions(-3, 3, max_denominator=4), simplest first (so
+# that examples shrink towards them); drawing from the list is ten times
+# cheaper than building each Fraction
+QSCALARS = st.sampled_from(sorted(
+    {Fraction(a, b) for b in range(1, 5) for a in range(-3 * b, 3 * b + 1)},
+    key=lambda c: (c.denominator, abs(c), c < 0)))
+
+
+@st.composite
+def q_matrices(draw, max_n=6, max_rows=6):
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.lists(st.tuples(*[QSCALARS] * n), max_size=max_rows))
+    return n, rows
+
+
+def in_lowest_terms(space, v):
+    """v is n integer numerators and a positive denominator with gcd 1."""
+    return (type(v) is tuple and len(v) == space.n + 1 and all(type(a) is int for a in v)
+            and v[-1] > 0 and math.gcd(*v) == 1)
+
+
+def oracle_pair(n, rows):
+    """The same rows spanned over QQ and over the oracle field."""
+    return span(QQ, n, rows), span(OQ, n, rows)
+
+
+@settings(max_examples=200)
+@given(q_matrices())
+def test_q_pack_is_canonical_and_round_trips(case):
+    n, rows = case
+    space = QQ.space(n)
+    for x in rows:
+        v = space.pack(x)
+        assert in_lowest_terms(space, v)
+        assert space.unpack(v) == x
+        # one vector, one tuple: any representative of x packs to v
+        assert space.pack([Fraction(a) for a in x]) == v
+    assert space.zero == (0,) * n + (1,) == space.pack([0] * n)
+
+
+@settings(max_examples=200)
+@given(q_matrices(), QSCALARS)
+def test_q_vector_operations_are_the_oracle_ones_in_lowest_terms(case, c):
+    n, rows = case
+    space, oracle = QQ.space(n), OQ.space(n)
+    vecs = [space.pack(x) for x in rows]
+    results = []
+    for (x, u), (y, v) in itertools.product(zip(rows, vecs), repeat=2):
+        results.append((space.add(u, v), oracle.add(x, y)))
+        results.append((space.scale(c, u), oracle.scale(c, x)))
+        if c:
+            results.append((space.submul(u, c, v), oracle.submul(x, c, y)))
+        results.append((space.join(u, v, space), oracle.join(x, y, oracle)))
+    for x, u in zip(rows, vecs):
+        results.append((space.neg(u), oracle.neg(x)))
+        assert [space.entry(u, j) for j in range(n)] == list(x)
+    coeffs = [c, 1, Fraction(-1, 2)] * len(rows)
+    results.append((space.lin_comb(coeffs, vecs), oracle.lin_comb(coeffs, rows)))
+    for got, want in results:
+        target = QQ.space(len(want))
+        assert in_lowest_terms(target, got)
+        assert target.unpack(got) == want
+    for x, u in zip(rows, vecs):
+        joined = space.join(space.zero, u, space)
+        assert space.tail(joined, space) == u
+
+
+@settings(max_examples=300)
+@given(q_matrices(), st.data())
+def test_q_row_reduction_and_subspace_arithmetic_are_the_oracle_ones(case, data):
+    n, rows = case
+    space = QQ.space(n)
+    S, O = oracle_pair(n, rows)
+    assert S.rows == O.rows == o_rref(0, rows)[0]
+    assert S.pivots == O.pivots
+    assert all(in_lowest_terms(space, v) for v in S.vecs)
+    # a row's numerator equals its denominator at its pivot
+    assert all(v[c] == v[-1] for v, c in zip(S.vecs, S.pivots))
+    basis = EchelonBasis(QQ, n)
+    grew = [basis.add(space.pack(x)) for x in rows]
+    oracle = EchelonBasis(OQ, n)
+    assert grew == [oracle.add(x) for x in rows]
+    assert unpacked(QQ, n, basis.vecs) == O.rows
+    # reduce modulo S: the residual of the oracle, in lowest terms
+    for x in data.draw(st.lists(st.tuples(*[QSCALARS] * n), max_size=3)):
+        res = S.reduce(space.pack(x))
+        assert in_lowest_terms(space, res)
+        assert space.unpack(res) == O.reduce(x)
+    cut = data.draw(st.integers(0, len(rows)))
+    A, B = span(QQ, n, rows[:cut]), span(QQ, n, rows[cut:])
+    OA, OB = span(OQ, n, rows[:cut]), span(OQ, n, rows[cut:])
+    assert (A + B).rows == (OA + OB).rows
+    assert (A & B).rows == (OA & OB).rows
+    assert right_kernel(QQ, S.vecs, n) == [space.pack(x) for x in right_kernel(OQ, O.vecs, n)]
+    got = kernel(QQ, len(rows), [space.pack(x) for x in rows], n)
+    assert got.rows == kernel(OQ, len(rows), rows, n).rows
+
+
+@settings(max_examples=150)
+@given(q_matrices(max_n=5), st.data())
+def test_q_closure_is_the_oracle_closure(case, data):
+    n, seeds = case
+    maps = data.draw(st.lists(
+        st.lists(st.tuples(*[QSCALARS] * n), min_size=n, max_size=n), max_size=2))
+
+    def o_images(w):
+        return [tuple(sum(a * b for a, b in zip(row, w)) for row in M) for M in maps]
+
+    space = QQ.space(n)
+    got = closure(QQ, n, [space.pack(x) for x in seeds],
+                  lambda w: [space.pack(u) for u in o_images(space.unpack(w))])
+    assert got.rows == closure(OQ, n, seeds, o_images).rows
+
+
+@settings(max_examples=150)
+@given(q_matrices(), st.data())
+def test_q_section_map_is_the_oracle_section(case, data):
+    n, rows = case
+    cut = data.draw(st.integers(0, len(rows)))
+    K, OK = oracle_pair(n, rows)
+    smap, omap = SectionMap(K, span(QQ, n, rows[:cut])), SectionMap(OK, span(OQ, n, rows[:cut]))
+    space, coords = QQ.space(n), QQ.space(smap.dim)
+    for x in data.draw(st.lists(st.tuples(*[QSCALARS] * n), max_size=4)):
+        try:
+            want = omap.project(x)
+        except NotContainedError:
+            with pytest.raises(NotContainedError):
+                smap.project(space.pack(x))
+        else:
+            assert coords.unpack(smap.project(space.pack(x))) == want
+    for c in data.draw(st.lists(st.tuples(*[QSCALARS] * smap.dim), max_size=4)):
+        assert space.unpack(smap.lift(coords.pack(c))) == omap.lift(c)
+
+
+@st.composite
+def q_tables(draw):
+    """A structure-constant table over Q (Jacobi not required) and two
+    vectors."""
+    n = draw(st.integers(2, 6))
+    vec = st.tuples(*[QSCALARS] * n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    table = {key: draw(vec) for key in keys}
+    return n, table, draw(vec), draw(vec)
+
+
+@settings(max_examples=300)
+@given(q_tables())
+def test_q_bracket_and_ad_images_are_the_oracle_maps(case):
+    n, table, x, y = case
+    L = LieAlgebra(QQ, n, table, check=False)
+    space = L.space
+    got = L.bracket(space.pack(x), space.pack(y))
+    assert in_lowest_terms(space, got)
+    assert space.unpack(got) == o_bracket(0, table, x, y)
+    got = {space.unpack(w) for w in L.transposed_ad_images(space.pack(y))}
+    assert got == o_transposed_ad_images(0, table, n, y)
+    images = [space.unpack(w) for w in L.ad_images(space.pack(y))]
+    assert images == [o_bracket(0, table, tuple(int(i == k) for k in range(n)), y)
+                      for i in range(n)]
+
+
+def test_q_bilinear_maps_refuse_coordinate_tuples():
+    L = LieAlgebra(QQ, 2, {(0, 1): (1, 0)})
+    e = (Fraction(1), Fraction(0))
+    for call in (lambda: L.bracket(e, e), lambda: L.ad_images(e),
+                 lambda: L.transposed_ad_images(e)):
+        with pytest.raises(AmbientMismatchError):
+            call()
+
+
+@settings(max_examples=150, deadline=None)
+@given(q_tables())
+def test_q_jacobi_check_reports_the_oracle_triple_and_residual(case):
+    n, table, _, _ = case
+    f = QQ
+    expected = None
+    for i, j, k in itertools.combinations(range(n), 3):
+        e = [tuple(int(t == m) for m in range(n)) for t in (i, j, k)]
+        terms = [o_bracket(0, table, o_bracket(0, table, e[a], e[b]), e[c])
+                 for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+        s = [sum(t[m] for t in terms) for m in range(n)]
+        if any(s):
+            expected = ((i + 1, j + 1, k + 1), [f.format(Fraction(a)) for a in s])
+            break
+    if expected is None:
+        LieAlgebra(f, n, table)
+    else:
+        with pytest.raises(JacobiError) as exc:
+            LieAlgebra(f, n, table)
+        assert (exc.value.triple, exc.value.residual) == expected
+
+
+@settings(max_examples=100)
+@given(q_matrices(max_n=4))
+def test_equal_q_subspaces_from_every_constructor_are_equal_and_hash_equal(case):
+    n, rows = case
+    S = Subspace(QQ, n, rows)
+    space = QQ.space(n)
+    built = [
+        span(QQ, n, rows),
+        span(QQ, n, list(reversed(rows)) + rows),
+        span(QQ, n, [tuple(3 * a for a in x) for x in rows]),
+        echelon(QQ, n, rows).subspace(),
+        span_vecs(QQ, n, packed(QQ, n, rows)),
+        Subspace._trusted(space, S.vecs, S.pivots),
+        Subspace.from_basis_strings(QQ, n, S.basis_strings()),
+        SectionMap(full_subspace(QQ, n), zero_subspace(QQ, n)).preimage_subspace(S),
+        S + zero_subspace(QQ, n),
+        S & full_subspace(QQ, n),
+    ]
+    for T in built:
+        assert T == S and hash(T) == hash(S)
+    assert len(set(built)) == 1
+
+
+@settings(max_examples=100)
+@given(st.lists(q_matrices(max_n=3, max_rows=3), min_size=2, max_size=6), st.integers(1, 3))
+def test_q_sort_key_order_is_the_order_of_fraction_rows(cases, n):
+    subspaces = [span(QQ, n, [x[:n] + (0,) * (n - len(x)) for x in rows]) for _, rows in cases]
+    got = sorted(subspaces, key=lambda S: S.sort_key())
+    assert [(S.dim, S.rows) for S in got] == sorted((S.dim, S.rows) for S in subspaces)
+
+
+@settings(max_examples=150)
+@given(q_matrices(max_n=4), st.tuples(*[QSCALARS] * 4))
+def test_q_membership_of_a_coordinate_tuple_and_of_a_vector(case, x):
+    n, rows = case
+    S, O = oracle_pair(n, rows)
+    space = S.space
+    x = x[:n]
+    want = O.space.is_zero(O.reduce(x))
+    assert (x in S) is want
+    assert (space.pack(x) in S) is want
+    for bad in (x + (0,), x[:-1], tuple(Fraction(a) for a in space.pack(x)), [0] * (n + 1),
+                space.zero[:-1] + (0,), tuple(2 * a for a in space.unit(0))):
+        with pytest.raises(AmbientMismatchError):
+            bad in S
+
+
+# ---------------------------------------------------------------------------
 # the layout stays in the kernel
 # ---------------------------------------------------------------------------
 
@@ -403,3 +777,19 @@ def test_only_exactfield_and_linspace_shift_or_mask_slots():
             if isinstance(node, ast.Attribute) and node.attr in SLOT_ATTRIBUTES:
                 users.add(path.stem)
     assert "exactfield" in users and users <= {"exactfield", "linspace"}
+
+
+def test_only_exactfield_and_the_rational_root_search_import_fractions():
+    # Q arithmetic is the kernel's: a Fraction built anywhere else would be
+    # a second copy of it; structure's rational root search is the one
+    # scalar computation outside it
+    users = set()
+    for path in sorted(Path(lieideals.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(
+                    a.name.split(".")[0] == "fractions" for a in node.names):
+                users.add(path.stem)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+                users.add(path.stem)
+    assert users == {"exactfield", "structure"}

@@ -30,7 +30,7 @@ from lieideals.errors import NotASubalgebraError
 from lieideals.exactfield import GF
 from lieideals.ideals import core, find_c_witness, ideals_of, lattice
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
-from lieideals.linspace import MASK_LIMIT, projective_points, vec_scale
+from lieideals.linspace import MASK_LIMIT, projective_points
 from lieideals.structure import is_supersolvable, maximal_subalgebras
 from lieideals.verify import default_corpus
 
@@ -162,6 +162,10 @@ def test_a_non_subalgebra_has_no_series():
 
 
 # -- supersolvability against the line scan ---------------------------------
+
+
+def vec_scale(f, c, v):
+    return tuple(f.norm(c * a) for a in v)
 
 
 def _line_is_ideal(L, v):

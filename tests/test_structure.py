@@ -23,7 +23,7 @@ from lieideals.errors import BudgetExceededError, EnumerationUnsupportedError
 from lieideals.exactfield import GF, QQ
 from lieideals.ideals import find_weak_c_witness, ideals_of, subalgebras
 from lieideals.liecore import LieAlgebra
-from lieideals.linspace import projective_points, unit_vector, vec_add, vec_scale
+from lieideals.linspace import projective_points, unit_vector
 from lieideals.structure import (
     OneDimClassification,
     cartan_subalgebras,
@@ -41,6 +41,14 @@ from lieideals.structure import (
 )
 from lieideals.verify import default_corpus
 from test_packed_kernel import o_rref
+
+
+def vec_add(f, u, v):
+    return tuple(f.norm(a + b) for a, b in zip(u, v))
+
+
+def vec_scale(f, c, v):
+    return tuple(f.norm(c * a) for a in v)
 
 
 def heis(f):
