@@ -8,6 +8,7 @@ the given budget (3).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,7 +195,9 @@ class _Budget(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once: ``parse_args`` leaves it as it is."""
     p = argparse.ArgumentParser(
         prog="lieideals",
         description="exact predicates and witness searches for small Lie algebras",

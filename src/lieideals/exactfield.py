@@ -24,6 +24,12 @@ Vectors have two representations under one API, ``field.space(n)``:
   tuples, and sums, multiples and row reduction run on ints and divide
   once per result by a gcd; no Fraction is built on the way.
 
+The structure-constant maps live here too: ``space.structure_table``
+turns a Lie algebra's table ``{(i, j): [e_i, e_j]}`` into the space's own
+form once, and the space's ``bracket``, ``ad_images`` and
+``transposed_ad_images`` run over it; ``liecore`` only builds and
+validates the table.
+
 Every slot shift and mask lives in this module and in ``linspace``.  The
 public boundary of the library (``Subspace(field, n, vectors)``,
 ``Subspace.rows``, the ``LieAlgebra`` constructor and ``bracket_basis``,
@@ -55,8 +61,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +253,59 @@ class PackedSpace(_Space):
             return (mults * -(-reach // p)).__getitem__
         return lambda c: mults[c % p]
 
-    def dot(self, u, v):
-        return sum(map(operator.mul, self.unpack(u), self.unpack(v))) % self.p
+    # -- the structure-constant maps --------------------------------------
+
+    def structure_table(self, table):
+        """The maps' form of a Lie algebra's nonzero ``{(i, j): [e_i, e_j]}``:
+        per entry (i, j, c -> c [e_i, e_j]), and a ``_transposed_entry``."""
+        items = table.items()
+        return (tuple((i, j, self.scaler(v)) for (i, j), v in items),
+                tuple(self._transposed_entry(i, j, v) for (i, j), v in items))
+
+    def _transposed_entry(self, i, j, v):
+        # (i, j, the nonzero (k, c_k) of [e_i, e_j], c -> c e_j, c -> c e_i)
+        pairs = tuple((k, c) for k, c in enumerate(self.unpack(v)) if c)
+        return i, j, pairs, self.scaler(self.unit(j)), self.scaler(self.unit(i))
+
+    def bracket(self, table, x, y):
+        """[x, y] by the bilinear extension of the table."""
+        xs, ys = self.coords(x), self.coords(y)
+        add = self.add
+        out = 0
+        for i, j, times in table[0]:
+            c = xs[i] * ys[j] - xs[j] * ys[i]
+            if c:
+                out = add(out, times(c))
+        return out
+
+    def ad_images(self, table, y):
+        """The vectors [e_i, y] for i = 0..n-1."""
+        ys = self.coords(y)
+        add = self.add
+        out = [0] * self.n
+        for i, j, times in table[0]:
+            if ys[j]:
+                out[i] = add(out[i], times(ys[j]))
+            if ys[i]:
+                out[j] = add(out[j], times(-ys[i]))
+        return out
+
+    def transposed_ad_images(self, table, y):
+        """The nonzero vectors ad(e_i)^T y.  Entry j of ad(e_i)^T y is y
+        dotted with [e_i, e_j], so only the table entries meeting e_i count;
+        y's coordinates are read once, and each entry's nonzero ones."""
+        ys = self.coords(y)
+        p, add = self.p, self.add
+        images = {}
+        for i, j, pairs, e_j, e_i in table[1]:
+            s = 0
+            for k, c in pairs:
+                s += c * ys[k]
+            s %= p
+            if s:
+                images[i] = add(images.get(i, 0), e_j(s))
+                images[j] = add(images.get(j, 0), e_i(-s))
+        return list(images.values())
 
     def reduce(self, v, vectors, pivots):
         """Residual of v after elimination by an RREF basis."""
@@ -311,8 +366,18 @@ class GF2Space(PackedSpace):
     def submul(v, c, row):
         return v ^ row
 
-    def dot(self, u, v):
-        return (u & v).bit_count() & 1
+    def _transposed_entry(self, i, j, v):
+        # (i, j, [e_i, e_j], e_j, e_i): a dot product is a popcount
+        return i, j, v, self.unit(j), self.unit(i)
+
+    def transposed_ad_images(self, table, y):
+        self.check(y)
+        images = {}
+        for i, j, v, e_j, e_i in table[1]:
+            if (v & y).bit_count() & 1:
+                images[i] = images.get(i, 0) ^ e_j
+                images[j] = images.get(j, 0) ^ e_i
+        return list(images.values())
 
     def reduce(self, v, vectors, pivots):
         shifts = self.shifts
@@ -378,11 +443,6 @@ class RationalSpace(_Space):
                 and v[-1] > 0 and math.gcd(*v) == 1):
             raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
 
-    def ratio(self, nums, d):
-        """The vector with numerators ``nums`` (a list of n ints) over the
-        nonzero int d."""
-        return _lowest(nums + [d])
-
     def unit(self, j):
         w = [0] * self.n + [1]
         w[j] = 1
@@ -440,7 +500,7 @@ class RationalSpace(_Space):
         for cn, m, v in terms:
             k = cn * (d // m)
             out = [a + k * b for a, b in zip(out, v)]
-        return self.ratio(out, d)
+        return _lowest(out + [d])
 
     @staticmethod
     def reduce(v, vectors, pivots):
@@ -491,6 +551,59 @@ class RationalSpace(_Space):
     def tail(v, other):
         """The last m coordinates of a vector of Q^(n + m), other = Q^m."""
         return _lowest(list(v[-1 - other.n:]))
+
+    # -- the structure-constant maps: each sums integer multiples of the
+    # table's numerator rows and puts each result in lowest terms once
+
+    @staticmethod
+    def structure_table(table):
+        """The maps' form of a Lie algebra's nonzero ``{(i, j): [e_i, e_j]}``:
+        (den, per entry (i, j, the numerators of [e_i, e_j] over den)), with
+        den the lcm of the entries' denominators."""
+        den = math.lcm(*[v[-1] for v in table.values()])
+        return den, tuple((i, j, [a * (den // v[-1]) for a in v[:-1]])
+                          for (i, j), v in table.items())
+
+    def bracket(self, table, x, y):
+        """[x, y] by the bilinear extension of the table."""
+        self.check(x)
+        self.check(y)
+        den, rows = table
+        out = [0] * self.n
+        for i, j, row in rows:
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                out = [a + c * b for a, b in zip(out, row)]
+        return _lowest(out + [x[-1] * y[-1] * den])
+
+    def ad_images(self, table, y):
+        """The vectors [e_i, y] for i = 0..n-1, each over y_d den; the zero
+        rows are one list, replaced but never changed."""
+        self.check(y)
+        den, rows = table
+        out = [[0] * self.n] * self.n
+        for i, j, row in rows:
+            if y[j]:
+                out[i] = [a + y[j] * b for a, b in zip(out[i], row)]
+            if y[i]:
+                out[j] = [a - y[i] * b for a, b in zip(out[j], row)]
+        d = y[-1] * den
+        return [_lowest(w + [d]) for w in out]
+
+    def transposed_ad_images(self, table, y):
+        """The nonzero vectors ad(e_i)^T y: entry j of image i gains
+        y . [e_i, e_j] over y_d den."""
+        self.check(y)
+        den, rows = table
+        n = self.n
+        images = {}
+        for i, j, row in rows:
+            s = sum(map(operator.mul, row, y))
+            if s:
+                images.setdefault(i, [0] * n)[j] += s
+                images.setdefault(j, [0] * n)[i] -= s
+        d = y[-1] * den
+        return [_lowest(w + [d]) for w in images.values()]
 
 
 class Field:

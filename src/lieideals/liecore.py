@@ -7,21 +7,17 @@ that involves a nonzero table entry (every other triple sums to zero).
 
 The constructor and ``bracket_basis`` take and give coordinate tuples
 (of Fractions over Q); inside, the table holds vectors of
-``field.space(dim)``, and ``bracket``, ``ad_images`` and
-``transposed_ad_images`` take and give such vectors.  Over GF(p) they sum
-precomputed multiples of the packed table entries.  Over Q they multiply
-the integer numerators of their arguments into the table's numerators
-over one common denominator, sum the products as ints and put each result
-in lowest terms once; the Jacobi check runs on the same integers.  No
-operator is kept as a matrix: ad(x) is applied by ``bracket(x, .)``, and
-its columns [x, e_j] are minus ``ad_images(x)``.
-Centralizers and normalizers are solution spaces in L's own coordinates;
-a :class:`~lieideals.linspace.SectionMap` is built only to make a section
-algebra (``quotient``, ``restrict``).
+``field.space(dim)``.  This module builds and validates that table and
+knows no vector layout: the space turns the table into its own form once
+(``structure_table``) and owns the maps over it, so ``bracket``,
+``ad_images`` and ``transposed_ad_images`` are calls into the kernel, and
+take and give vectors of the space.  No operator is kept as a matrix:
+ad(x) is applied by ``bracket(x, .)``, and its columns [x, e_j] are minus
+``ad_images(x)``.  Centralizers and normalizers are solution spaces in L's
+own coordinates; a :class:`~lieideals.linspace.SectionMap` is built only
+to make a section algebra (``quotient``, ``restrict``).
 """
 
-import math
-import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -59,8 +55,8 @@ class LieAlgebra:
     ``packed``, the values are vectors of ``field.space(dim)`` instead.
     """
 
-    __slots__ = ("field", "dim", "space", "_table", "_den", "_terms", "_dual", "labels",
-                 "_cache", "__weakref__")
+    __slots__ = ("field", "dim", "space", "_table", "_terms", "labels", "_cache",
+                 "__weakref__")
 
     def __init__(self, field, dim, brackets, labels=None, check=True, *, packed=False):
         space = field.space(dim)
@@ -80,23 +76,7 @@ class LieAlgebra:
         self.dim = dim
         self.space = space
         self._table = table
-        if field.characteristic():
-            self._den = None
-            # (i, j, c -> c [e_i, e_j]) per nonzero entry, for the bilinear maps
-            self._terms = tuple((i, j, space.scaler(v)) for (i, j), v in table.items())
-            # (i, j, [e_i, e_j], c -> c e_j, c -> c e_i), for the transposed maps
-            self._dual = tuple(
-                (i, j, v, space.scaler(space.unit(j)), space.scaler(space.unit(i)))
-                for (i, j), v in table.items()
-            )
-        else:
-            # over Q: (i, j, the numerators of [e_i, e_j] over _den), with
-            # _den the lcm of the entries' denominators
-            self._den = den = math.lcm(*[v[-1] for v in table.values()])
-            self._terms = tuple(
-                (i, j, [a * (den // v[-1]) for a in v[:-1]]) for (i, j), v in table.items()
-            )
-            self._dual = None
+        self._terms = space.structure_table(table)
         self.labels = _default_labels(dim) if labels is None else tuple(labels)
         self._cache = {}
         if check:
@@ -117,141 +97,37 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """Bilinear extension of the structure-constant table."""
-        if self._den:
-            return self._bracket_q(x, y)
-        space = self.space
-        xs, ys = space.coords(x), space.coords(y)
-        add = space.add
-        out = space.zero
-        for i, j, times in self._terms:
-            c = xs[i] * ys[j] - xs[j] * ys[i]
-            if c:
-                out = add(out, times(c))
-        return out
+        return self.space.bracket(self._terms, x, y)
 
     def ad_images(self, y):
         """The vectors [e_i, y] for i = 0..dim-1."""
-        if self._den:
-            return self._ad_images_q(y)
-        space = self.space
-        ys = space.coords(y)
-        add = space.add
-        out = [space.zero] * self.dim
-        for i, j, times in self._terms:
-            if ys[j]:
-                out[i] = add(out[i], times(ys[j]))
-            if ys[i]:
-                out[j] = add(out[j], times(-ys[i]))
-        return out
+        return self.space.ad_images(self._terms, y)
 
     def transposed_ad_images(self, y):
-        """The nonzero vectors ad(e_i)^T y.  Entry j of ad(e_i)^T y is y
-        dotted with [e_i, e_j], so only the table entries meeting e_i count."""
-        if self._den:
-            return self._transposed_ad_images_q(y)
-        space = self.space
-        dot, add, zero = space.dot, space.add, space.zero
-        images = {}
-        for i, j, v, e_j, e_i in self._dual:
-            s = dot(v, y)
-            if s:
-                images[i] = add(images.get(i, zero), e_j(s))
-                images[j] = add(images.get(j, zero), e_i(-s))
-        return list(images.values())
+        """The nonzero vectors ad(e_i)^T y."""
+        return self.space.transposed_ad_images(self._terms, y)
 
     def _check_jacobi(self):
-        # a triple that meets no table entry sums to zero, so only the
-        # triples through a nonzero [e_i, e_j] are visited, in order
-        f, space = self.field, self.space
-        n = self.dim
+        # [[e_a, e_b], e_c] is minus entry c of A_ab = ad_images([e_a, e_b]),
+        # so the Jacobi sum of (i, j, k) is A_ik[j] - A_ij[k] - A_jk[i].  A
+        # triple that meets no table entry sums to zero, so only the triples
+        # through a nonzero [e_i, e_j] are visited, in order.
+        space = self.space
         triples = sorted({
             tuple(sorted((i, j, k)))
             for i, j in self._table
-            for k in range(n)
+            for k in range(self.dim)
             if k != i and k != j
         })
-        # [w, e_c] sums w_x [e_x, e_c] over the table entries that meet c:
-        # (x, c -> c [e_i, e_j], sign) with [e_x, e_c] = sign [e_i, e_j];
-        # over Q, (x, the numerators of [e_i, e_j] over _den, sign)
-        meets = [[] for _ in range(n)]
-        for i, j, times in self._terms:
-            meets[j].append((i, times, 1))
-            meets[i].append((j, times, -1))
-        if self._den:
-            return self._check_jacobi_q(triples, meets)
-        add = space.add
+        images = {ij: self.ad_images(v) for ij, v in self._table.items()}
+        zero = [space.zero] * self.dim
+        add, neg = space.add, space.neg
         for i, j, k in triples:
-            s = space.zero
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                ws = space.coords(self._basis_bracket(a, b))
-                for x, times, sign in meets[c]:
-                    if ws[x]:
-                        s = add(s, times(sign * ws[x]))
+            s = add(images.get((i, k), zero)[j],
+                    neg(add(images.get((i, j), zero)[k], images.get((j, k), zero)[i])))
             if not space.is_zero(s):
-                raise JacobiError((i + 1, j + 1, k + 1), [f.format(a) for a in space.unpack(s)])
-
-    # -- over Q: integer numerators -----------------------------------------
-    # Row (i, j) of _terms holds the numerators of [e_i, e_j] over _den, so
-    # each map sums integer multiples of rows over one denominator and puts
-    # the result in lowest terms once.  Kept out of the GF(p) bodies above,
-    # whose loop variables their comprehensions would turn into closure cells.
-
-    def _bracket_q(self, x, y):
-        space = self.space
-        space.check(x)
-        space.check(y)
-        out = [0] * self.dim
-        for i, j, row in self._terms:
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                out = [a + c * b for a, b in zip(out, row)]
-        return space.ratio(out, x[-1] * y[-1] * self._den)
-
-    def _ad_images_q(self, y):
-        # every image is over y_d _den; the zero rows are one list, replaced
-        # but never changed
-        space = self.space
-        space.check(y)
-        out = [[0] * self.dim] * self.dim
-        for i, j, row in self._terms:
-            if y[j]:
-                out[i] = [a + y[j] * b for a, b in zip(out[i], row)]
-            if y[i]:
-                out[j] = [a - y[i] * b for a, b in zip(out[j], row)]
-        d = y[-1] * self._den
-        return [space.ratio(w, d) for w in out]
-
-    def _transposed_ad_images_q(self, y):
-        # entry j of image i gains y . [e_i, e_j] over y_d _den
-        space = self.space
-        space.check(y)
-        n = self.dim
-        images = {}
-        for i, j, row in self._terms:
-            s = sum(map(operator.mul, row, y))
-            if s:
-                images.setdefault(i, [0] * n)[j] += s
-                images.setdefault(j, [0] * n)[i] -= s
-        d = y[-1] * self._den
-        return [space.ratio(w, d) for w in images.values()]
-
-    def _check_jacobi_q(self, triples, meets):
-        # each sum is over _den^2; rows[(a, b)] holds [e_a, e_b] over _den
-        space = self.space
-        rows = {(i, j): row for i, j, row in self._terms}
-        rows.update({(j, i): [-a for a in row] for i, j, row in self._terms})
-        zero = [0] * self.dim
-        for i, j, k in triples:
-            s = zero
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                ws = rows.get((a, b), zero)
-                for x, row, sign in meets[c]:
-                    if ws[x]:
-                        m = sign * ws[x]
-                        s = [u + m * w for u, w in zip(s, row)]
-            if any(s):
-                residual = space.unpack(space.ratio(s, self._den**2))
-                raise JacobiError((i + 1, j + 1, k + 1), [self.field.format(a) for a in residual])
+                raise JacobiError((i + 1, j + 1, k + 1),
+                                  [self.field.format(a) for a in space.unpack(s)])
 
     # -- subspace machinery -------------------------------------------------
 
@@ -438,7 +314,7 @@ class LieAlgebra:
         """A new algebra on this one's structure constants, with the given
         memo dict and labels."""
         twin = object.__new__(LieAlgebra)
-        for name in ("field", "dim", "space", "_table", "_den", "_terms", "_dual"):
+        for name in ("field", "dim", "space", "_table", "_terms"):
             setattr(twin, name, getattr(self, name))
         twin.labels, twin._cache = labels, cache
         return twin

@@ -780,3 +780,24 @@ def test_module_entry_point_runs():
     # the package does not import the entry module, so runpy has no
     # RuntimeWarning to print
     assert proc.stderr == ""
+
+
+def test_main_called_again_in_one_process_answers_as_a_fresh_process(capsys, monkeypatch):
+    # the parser is built once per process: a usage error, a valid check and
+    # the same usage error, run in turn here, each give the exit code and
+    # output of a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(lieideals.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    usage_error = ["check", heis_path(), "--predicate", "bogus"]
+    valid = ["check", heis_path(), "--predicate", "nilpotent"]
+    for argv in (usage_error, valid, usage_error):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieideals.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+    code, out, err = run(capsys, *usage_error)
+    assert (code, out) == (2, "") and err.startswith("usage: lieideals check")

@@ -56,16 +56,18 @@ def test_bracket_basis_is_antisymmetric_and_defaults_to_zero():
     assert L.bracket_basis(1, 1) == (0, 0, 0)
 
 
-def test_jacobi_check_reports_the_first_failing_triple_of_all():
-    # differential against the plain scan of every basis triple
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_jacobi_check_reports_the_first_failing_triple_of_all(p):
+    # differential against the plain scan of every basis triple, each
+    # Jacobi sum taken as three nested brackets
     rng = random.Random(5)
-    f = GF(3)
+    f = GF(p)
     n = 5
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     failures = 0
     for _ in range(60):
         table = {
-            ij: tuple(rng.randrange(3) for _ in range(n))
+            ij: tuple(rng.randrange(p) for _ in range(n))
             for ij in rng.sample(pairs, rng.randrange(1, 4))
         }
         L = LieAlgebra(f, n, table, check=False)
@@ -77,8 +79,9 @@ def test_jacobi_check_reports_the_first_failing_triple_of_all():
                 L.bracket(L.bracket(e[1], e[2]), e[0]),
                 L.bracket(L.bracket(e[2], e[0]), e[1]),
             )))
-            if any(f.norm(sum(t[m] for t in terms)) for m in range(n)):
-                expected = (i + 1, j + 1, k + 1)
+            residual = [f.norm(sum(t[m] for t in terms)) for m in range(n)]
+            if any(residual):
+                expected = ((i + 1, j + 1, k + 1), [f.format(a) for a in residual])
                 break
         if expected is None:
             LieAlgebra(f, n, table)
@@ -86,7 +89,7 @@ def test_jacobi_check_reports_the_first_failing_triple_of_all():
             failures += 1
             with pytest.raises(JacobiError) as exc:
                 LieAlgebra(f, n, table)
-            assert exc.value.triple == expected
+            assert (exc.value.triple, exc.value.residual) == expected
     assert failures > 10
 
 

@@ -679,13 +679,17 @@ def test_q_bracket_and_ad_images_are_the_oracle_maps(case):
                       for i in range(n)]
 
 
-def test_q_bilinear_maps_refuse_coordinate_tuples():
-    L = LieAlgebra(QQ, 2, {(0, 1): (1, 0)})
-    e = (Fraction(1), Fraction(0))
-    for call in (lambda: L.bracket(e, e), lambda: L.ad_images(e),
-                 lambda: L.transposed_ad_images(e)):
-        with pytest.raises(AmbientMismatchError):
-            call()
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(3)], ids=repr)
+def test_bilinear_maps_refuse_non_vectors(f):
+    # a coordinate tuple, a negative int and an int wider than the space,
+    # in either argument of the bracket
+    L = LieAlgebra(f, 2, {(0, 1): (1, 0)})
+    e = L.space.unit(0)
+    for bad in ((f.one, f.zero), -1, 1 << 40):
+        for call in (lambda: L.bracket(bad, e), lambda: L.bracket(e, bad),
+                     lambda: L.ad_images(bad), lambda: L.transposed_ad_images(bad)):
+            with pytest.raises(AmbientMismatchError):
+                call()
 
 
 @settings(max_examples=150, deadline=None)
@@ -777,6 +781,30 @@ def test_only_exactfield_and_linspace_shift_or_mask_slots():
             if isinstance(node, ast.Attribute) and node.attr in SLOT_ATTRIBUTES:
                 users.add(path.stem)
     assert "exactfield" in users and users <= {"exactfield", "linspace"}
+
+
+LAYOUT_NAMES = {"_den", "ratio", "coords", "scaler", "characteristic"}
+LAYOUT_MODULES = {"math", "operator", "fractions"}
+
+
+def test_liecore_knows_no_vector_layout():
+    # the structure-constant maps are the kernel's: liecore builds and
+    # validates the table, so a per-field branch, a reach into a vector's
+    # slots or numerators, or its own scalar arithmetic there would be a
+    # second copy of the kernel
+    path = Path(lieideals.__file__).parent / "liecore.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
+            found.add(node.attr)
+        if isinstance(node, ast.Name) and node.id in LAYOUT_NAMES:
+            found.add(node.id)
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names
+                         if a.name.split(".")[0] in LAYOUT_MODULES)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in LAYOUT_MODULES:
+            found.add(node.module.split(".")[0])
+    assert not found
 
 
 def test_only_exactfield_and_the_rational_root_search_import_fractions():
