@@ -165,11 +165,13 @@ class PackedSpace(_Space):
         # format() writes one digit per slot for these widths
         spec = {1: "b", 3: "o", 4: "x"}.get(w)
         self._format = spec and f"0{n}{spec}"
-        # unpack(v): the coordinate tuple of v, raising AmbientMismatchError
-        # for anything that is not a vector of this space; coords(v): the
-        # same coordinates, read one at a time past SPARSE_DIM coordinates
-        self.unpack = _Coords(self).__getitem__
-        self.coords = self.unpack if n <= SPARSE_DIM else functools.partial(_Slots, self)
+        # coords(v): the coordinates of an int v, read one at a time past
+        # SPARSE_DIM coordinates.  A table hit checks nothing, and True and
+        # 1.0 hash and compare equal to the vector 1, so every reader checks
+        # the type first
+        self._coords = _Coords(self)
+        self.coords = (self._coords.__getitem__ if n <= SPARSE_DIM
+                       else functools.partial(_Slots, self))
 
     def pack(self, coords):
         """The vector with the given coordinates (any int representatives)."""
@@ -180,6 +182,13 @@ class PackedSpace(_Space):
         """Raise unless v is a vector of this space."""
         if type(v) is not int or v < 0 or v >> self.bits:
             raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
+
+    def unpack(self, v):
+        """The coordinate tuple of v, raising AmbientMismatchError for
+        anything that is not a vector of this space."""
+        if type(v) is not int:
+            self.check(v)
+        return self._coords[v]
 
     def unit(self, j):
         return 1 << self.shifts[j]
@@ -269,6 +278,9 @@ class PackedSpace(_Space):
 
     def bracket(self, table, x, y):
         """[x, y] by the bilinear extension of the table."""
+        if type(x) is not int or type(y) is not int:
+            self.check(x)
+            self.check(y)
         xs, ys = self.coords(x), self.coords(y)
         add = self.add
         out = 0
@@ -280,6 +292,8 @@ class PackedSpace(_Space):
 
     def ad_images(self, table, y):
         """The vectors [e_i, y] for i = 0..n-1."""
+        if type(y) is not int:
+            self.check(y)
         ys = self.coords(y)
         add = self.add
         out = [0] * self.n
@@ -294,6 +308,8 @@ class PackedSpace(_Space):
         """The nonzero vectors ad(e_i)^T y.  Entry j of ad(e_i)^T y is y
         dotted with [e_i, e_j], so only the table entries meeting e_i count;
         y's coordinates are read once, and each entry's nonzero ones."""
+        if type(y) is not int:
+            self.check(y)
         ys = self.coords(y)
         p, add = self.p, self.add
         images = {}

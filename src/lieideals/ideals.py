@@ -124,15 +124,31 @@ class Lattice:
         return [S for S in self.subalgebras if not self._mask(S) & outside_K]
 
     def maximal(self, members):
-        """The members that lie properly inside no other member, in order."""
-        if self._masks is None:
-            return [S for S in members
-                    if not any(S.dim < T.dim and S <= T for T in members)]
-        masked = [(T.dim, self._mask(T)) for T in members]
-        return [
-            S for S, (k, m_S) in zip(members, masked)
-            if not any(k < d and not m_S & ~m for d, m in masked)
-        ]
+        """The members that lie properly inside no other member, in order.
+
+        A member inside a larger one lies inside a maximal one of larger
+        dimension, so the members are read from the top dimension down and
+        each is tested only against the maximal members of larger
+        dimension found so far."""
+        masked = self._masks is not None
+        order = sorted(range(len(members)), key=lambda i: -members[i].dim)
+        above, keep = [], set()
+        for _, layer in itertools.groupby(order, key=lambda i: members[i].dim):
+            found = []
+            for i in layer:
+                S = members[i]
+                if masked:
+                    m_S = self._mask(S)
+                    if any(not m_S & outside_T for outside_T in above):
+                        continue
+                    found.append(~m_S)
+                elif any(S <= T for T in above):
+                    continue
+                else:
+                    found.append(S)
+                keep.add(i)
+            above += found
+        return [S for i, S in enumerate(members) if i in keep]
 
     def maximal_below(self, K):
         """The maximal proper subalgebras of the subalgebra K, in order: the

@@ -16,6 +16,12 @@ ad(x) is applied by ``bracket(x, .)``, and its columns [x, e_j] are minus
 ``ad_images(x)``.  Centralizers and normalizers are solution spaces in L's
 own coordinates; a :class:`~lieideals.linspace.SectionMap` is built only
 to make a section algebra (``quotient``, ``restrict``).
+
+Sections with equal structure-constant tables share one algebra, kept in
+L's memo under its table, so they share its lattice and every memoized
+answer about it; the ``SectionMap`` stays one per K or I.  Every memo key
+is a function of the structure constants, so what a view answers does not
+depend on which section first built its algebra.
 """
 
 from dataclasses import dataclass
@@ -242,7 +248,9 @@ class LieAlgebra:
         """The pair ``(L/I, smap)`` for an ideal I: the quotient algebra, in
         the coordinates of the :class:`SectionMap` ``smap`` of L/I, which
         projects vectors and subspaces of L onto it and lifts them back.
-        L/0 is L itself on a new object that shares L's memo (``_whole``)."""
+        The map is I's own; the algebra is shared with every section of the
+        same table (``_section``).  L/0 is L itself on a new object that
+        shares L's memo (``_whole``)."""
         if I.is_zero() and I == self.zero_space():
             return self._whole()
 
@@ -268,8 +276,10 @@ class LieAlgebra:
         :class:`SectionMap` ``smap`` of K/0, for a search that needs K as an
         algebra.  Questions about K that L can answer in its own coordinates
         (``series``, ``is_solvable``, ``is_nilpotent``,
-        ``ideals.Lattice.maximal_below``) need no restriction.  K = L is L
-        itself on a new object that shares L's memo (``_whole``)."""
+        ``ideals.Lattice.maximal_below``) need no restriction.  The map is
+        K's own; the algebra is shared with every section of the same table
+        (``_section``).  K = L is L itself on a new object that shares L's
+        memo (``_whole``)."""
         if K.is_full() and K == self.full_space():
             return self._whole()
 
@@ -291,8 +301,14 @@ class LieAlgebra:
 
     def _section(self, K, I):
         """The section K/I, for an ideal I of a subalgebra K, with its map.
-        The map holds no reference to L, whose memo holds the pair: that
-        cycle would leave every section for the cycle collector."""
+
+        The map is made for (K, I) alone.  The algebra is L's one algebra for
+        the projected table: sections with equal tables get the same
+        object, with its memo, so their lattice, cores, chains and witness
+        searches run once.  The table lists every pair a < b in order, so
+        it is a canonical key.  Neither holds a reference to L, whose memo
+        holds both: that cycle would leave every section for the cycle
+        collector."""
         smap = SectionMap(K, I)
         lifts = smap.lifts
         m = smap.dim
@@ -300,7 +316,9 @@ class LieAlgebra:
         for a in range(m):
             for b in range(a + 1, m):
                 brackets[(a, b)] = smap.project(self.bracket(lifts[a], lifts[b]))
-        return LieAlgebra(self.field, m, brackets, check=False, packed=True), smap
+        section = self.memo(("section", m, tuple(brackets.items())),
+                            lambda: LieAlgebra(self.field, m, brackets, check=False, packed=True))
+        return section, smap
 
     # -- misc ---------------------------------------------------------------
 

@@ -225,3 +225,25 @@ def test_lattice_answers_do_not_depend_on_call_history(query, case, build, nativ
     with pytest.raises(error):
         ask(lat, other)
 
+
+
+# -- maximal members against the maxima found so far ------------------------
+
+
+def quadratic_maximal(members):
+    """The filter ``Lattice.maximal`` replaced: every member against every
+    member."""
+    return [S for S in members if not any(S.dim < T.dim and S <= T for T in members)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_maximal_members_match_the_quadratic_filter(name):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    for C in lat.subalgebras:
+        assert lat.maximal_below(C) == quadratic_maximal(
+            [S for S in lat.inside(C) if S.dim < C.dim])
+    # any order in, the same order out
+    members = lat.subalgebras[:-1]
+    shuffled = random.Random(name).sample(members, len(members))
+    assert lat.maximal(shuffled) == quadratic_maximal(shuffled)

@@ -403,15 +403,22 @@ def test_restrict_is_cached_per_subspace():
 
 
 def test_a_restricted_algebra_is_freed_without_the_cycle_collector():
-    # the memo keeps each section with its map, and the lattice a witness
-    # search left half-walked, so either pointing back at its algebra
-    # would leave the algebra as cyclic garbage; the whole-algebra
-    # sections fill L's memo, which must not hold them
+    # the memo keeps each section with its map, one algebra per section
+    # table, and the lattice a witness search left half-walked, so any of
+    # them pointing back at its algebra would leave the algebra as cyclic
+    # garbage; the whole-algebra sections fill L's memo, which must not
+    # hold them
     gc.disable()
     try:
         L = heis(GF(3))
         L.restrict(L.span([(1, 0, 0), (0, 0, 1)]))
-        L.quotient(L.center())
+        # two abelian planes and L/Z(L) share one abelian algebra
+        shared = [L.restrict(L.span([(0, 1, 0), (0, 0, 1)]))[0],
+                  L.restrict(L.span([(1, 1, 0), (0, 0, 1)]))[0],
+                  L.quotient(L.center())[0]]
+        assert shared[0] is shared[1] is shared[2]
+        assert find_weak_c_witness(shared[0], shared[0].span([(1, 0)])) is not None
+        del shared
         assert find_weak_c_witness(L, L.span([(1, 0, 0)])) is not None
         for whole, _ in (L.restrict(L.full_space()), L.quotient(L.zero_space())):
             assert find_weak_c_witness(whole, L.span([(0, 1, 0)])) is not None

@@ -679,17 +679,26 @@ def test_q_bracket_and_ad_images_are_the_oracle_maps(case):
                       for i in range(n)]
 
 
-@pytest.mark.parametrize("f", [QQ, GF(2), GF(3)], ids=repr)
+@pytest.mark.parametrize("f", [QQ, GF(2), GF(3), GF(5)], ids=repr)
 def test_bilinear_maps_refuse_non_vectors(f):
     # a coordinate tuple, a negative int and an int wider than the space,
-    # in either argument of the bracket
+    # in either argument of the bracket; and True, 1.0 and 3.0, which hash
+    # and compare equal to the ints 1 and 3, so once the unpack table holds
+    # those vectors a hit must not answer for them
     L = LieAlgebra(f, 2, {(0, 1): (1, 0)})
-    e = L.space.unit(0)
-    for bad in ((f.one, f.zero), -1, 1 << 40):
-        for call in (lambda: L.bracket(bad, e), lambda: L.bracket(e, bad),
-                     lambda: L.ad_images(bad), lambda: L.transposed_ad_images(bad)):
-            with pytest.raises(AmbientMismatchError):
-                call()
+    space = L.space
+    e = space.unit(0)
+    maps = (lambda x: L.bracket(x, e), lambda x: L.bracket(e, x),
+            L.ad_images, L.transposed_ad_images, space.unpack)
+    for warm in (False, True):
+        if warm:
+            for v in {space.pack(c) for c in itertools.product(range(4), repeat=2)}:
+                for call in maps:
+                    call(v)
+        for bad in ((f.one, f.zero), -1, 1 << 40, True, 1.0, 3.0):
+            for call in maps:
+                with pytest.raises(AmbientMismatchError):
+                    call(bad)
 
 
 @settings(max_examples=150, deadline=None)
