@@ -89,6 +89,9 @@ def _check_with_witness(L, S, predicate, witness_doc):
     return out
 
 
+_FINDERS = {"weak-c-ideal": find_weak_c_witness, "c-ideal": find_c_witness}
+
+
 def cmd_check(args):
     built = _load_built(args.file)
     L = built.algebra
@@ -126,13 +129,8 @@ def cmd_check(args):
             payload = {"predicate": predicate, "verdict": _verdict(chain is not None)}
             if chain is not None:
                 payload["chain"] = chain.to_json()
-        elif predicate == "weak-c-ideal":
-            cert = find_weak_c_witness(L, S, budget=args.budget)
-            payload = {"predicate": predicate, "verdict": _verdict(cert is not None)}
-            if cert is not None:
-                payload["certificate"] = cert.to_json()
-        elif predicate == "c-ideal":
-            cert = find_c_witness(L, S, budget=args.budget)
+        elif predicate in _FINDERS:
+            cert = _FINDERS[predicate](L, S, budget=args.budget)
             payload = {"predicate": predicate, "verdict": _verdict(cert is not None)}
             if cert is not None:
                 payload["certificate"] = cert.to_json()

@@ -179,8 +179,11 @@ class PackedSpace(_Space):
         return sum([(a % p) << s for a, s in zip(coords, self.shifts)])
 
     def check(self, v):
-        """Raise unless v is a vector of this space."""
-        if type(v) is not int or v < 0 or v >> self.bits:
+        """Raise unless v is a vector of this space: a non-negative int of n
+        slots, each holding a residue below p.  A slot x below 2^(w-1)
+        becomes x + 2^(w-1) - p < 2^w under the bias, whose top bit is set
+        exactly when x >= p."""
+        if type(v) is not int or v < 0 or v >> self.bits or (v | v + self._bias) & self._high:
             raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
 
     def unpack(self, v):
@@ -369,6 +372,11 @@ class GF2Space(PackedSpace):
     """GF(2)^n: one bit per coordinate, addition is XOR."""
 
     add = sub = staticmethod(operator.xor)
+
+    def check(self, v):
+        # a one-bit slot holds 0 or 1, so every int of n bits is a vector
+        if type(v) is not int or v < 0 or v >> self.bits:
+            raise AmbientMismatchError(f"{v!r} is not a vector of {self}")
 
     @staticmethod
     def neg(v):

@@ -19,9 +19,7 @@ from .linspace import (
     closure,
     element_mask,
     enumerate_subspaces,
-    full_subspace,
     null_vectors,
-    zero_subspace,
 )
 
 
@@ -31,97 +29,77 @@ from .linspace import (
 
 class Lattice:
     """The subalgebras of one algebra in canonical enumeration order, with
-    the containment and split tests that the witness searches and the
-    lattice checks run over them.
+    the containment and complement queries that the witness searches and
+    the lattice checks run over them.
 
     The subalgebras are filtered layer by layer, one layer per dimension,
-    and each layer only as far as a reader has asked.  A witness search
-    walks up from its least dimension and stops at its first witness;
-    ``subalgebras`` reads every layer to the end.  A layer keeps the
-    subalgebras found so far, the number of subspaces tested and whether it
-    is done.  A walk past that prefix restarts the layer's enumeration and
-    skips the tested subspaces, so no enumerator outlives its walk.  The
-    budget gate counts every subspace of every dimension when the lattice
-    is made.
+    and each layer only as far as a reader has asked.  A layer is the list
+    of subalgebras found so far and one live ``filter(is_subalgebra, ...)``
+    over its subspaces: a read past the list moves the filter on, so every
+    subspace is tested once, and two interleaved reads see the same list.
+    A filter read to its end is dropped.  A witness search reads only the
+    layers a witness can lie in and stops at its first witness;
+    ``subalgebras`` reads every layer to the end.  The budget gate counts
+    every subspace of every dimension when the lattice is made.
 
-    Over GF(q) with q^n <= MASK_LIMIT a test reads element masks
-    (:func:`~lieideals.linspace.element_mask`), each made the first time a
-    test needs it: S <= T is ``m_S & ~m_T == 0`` and dim(B ∩ C) is log_q
-    of the popcount of ``m_B & m_C``, so no test row-reduces.  Above that
-    limit the same tests run on the Subspace operators.
+    Over GF(q) with q^n <= MASK_LIMIT a query reads element masks
+    (:func:`~lieideals.linspace.element_mask`), which each subspace makes
+    once and keeps: S <= T is ``m_S & ~m_T == 0`` and dim(B ∩ C) is log_q
+    of the popcount of ``m_B & m_C``, so no query row-reduces.  Above that
+    limit the same queries run on the Subspace operators.  Every query
+    checks its argument subspaces against L's space first.
     """
 
-    __slots__ = ("_field", "_n", "_q", "_is_subalgebra", "_layers", "_all", "_masks")
+    __slots__ = ("_algebra", "_n", "_q", "_masked", "_found", "_filters", "_all")
 
     def __init__(self, L, budget):
         check_enumeration(L.field, L.dim, budget)
-        self._field = L.field
-        self._n = n = L.dim
-        self._q = L.field.characteristic()
         # L's memo holds the lattice, so the lattice must not hold L
-        self._is_subalgebra = L.detached().is_subalgebra
-        self._layers = [None] * (n + 1)
+        self._algebra = A = L.detached()
+        self._n = n = L.dim
+        self._q = q = L.field.characteristic()
+        self._masked = q**n <= MASK_LIMIT
+        self._found = [[] for _ in range(n + 1)]
+        self._filters = [filter(A.is_subalgebra, enumerate_subspaces(L.field, n, k, budget=None))
+                         for k in range(n + 1)]
         self._all = None
-        self._masks = {} if self._q**n <= MASK_LIMIT else None
 
     def layer(self, k):
         """The subalgebras of dimension k, in order, filtered as they are
         read."""
-        state = self._layers[k]
-        if state is None:
-            state = self._layers[k] = _Layer()
-        found = state.found
-        i, source, at = 0, None, None
-        while i < len(found) or not state.done:
-            if i < len(found):
-                yield found[i]
-                i += 1
-                continue
-            if at != state.tested:
-                # the first read past the prefix, or another walk moved it on
-                at = state.tested
-                source = itertools.islice(
-                    enumerate_subspaces(self._field, self._n, k, budget=None), at, None)
-            S = next(source, None)
-            if S is None:
-                state.done = True
-            else:
-                at = state.tested = at + 1
-                if self._is_subalgebra(S):
-                    found.append(S)
-
-    def walk(self, lo=0):
-        """The subalgebras of dimension lo and up, in canonical order."""
-        for k in range(lo, self._n + 1):
-            yield from self.layer(k)
+        found, i = self._found[k], 0
+        while True:
+            if i == len(found):
+                S = next(self._filters[k], None)
+                if S is None:
+                    self._filters[k] = _ENDED
+                    return
+                found.append(S)
+            yield found[i]
+            i += 1
 
     @property
     def subalgebras(self):
         """Every subalgebra, in canonical order."""
         if self._all is None:
-            self._all = list(self.walk())
+            self._all = [S for k in range(self._n + 1) for S in self.layer(k)]
         return self._all
-
-    def _mask(self, S):
-        m = self._masks.get(S)
-        if m is None:
-            S.check_compatible(zero_subspace(self._field, self._n))
-            m = self._masks[S] = element_mask(S)
-        return m
 
     def containing(self, B):
         """The subalgebras that contain the subspace B, in order."""
-        if self._masks is None:
+        self._algebra.check_compatible(B)
+        if not self._masked:
             return [S for S in self.subalgebras if B <= S]
-        m_B = self._mask(B)
-        return [S for S in self.subalgebras if not m_B & ~self._mask(S)]
+        m_B = element_mask(B)
+        return [S for S in self.subalgebras if not m_B & ~element_mask(S)]
 
     def inside(self, K):
         """The subalgebras contained in the subspace K, in order."""
-        if self._masks is None:
+        self._algebra.check_compatible(K)
+        if not self._masked:
             return [S for S in self.subalgebras if S <= K]
-        outside_K = ~self._mask(K)
-        return [S for S in self.subalgebras if not self._mask(S) & outside_K]
+        outside_K = ~element_mask(K)
+        return [S for S in self.subalgebras if not element_mask(S) & outside_K]
 
     def maximal(self, members):
         """The members that lie properly inside no other member, in order.
@@ -130,7 +108,8 @@ class Lattice:
         dimension, so the members are read from the top dimension down and
         each is tested only against the maximal members of larger
         dimension found so far."""
-        masked = self._masks is not None
+        self._algebra.check_compatible(*members)
+        masked = self._masked
         order = sorted(range(len(members)), key=lambda i: -members[i].dim)
         above, keep = [], set()
         for _, layer in itertools.groupby(order, key=lambda i: members[i].dim):
@@ -138,7 +117,7 @@ class Lattice:
             for i in layer:
                 S = members[i]
                 if masked:
-                    m_S = self._mask(S)
+                    m_S = element_mask(S)
                     if any(not m_S & outside_T for outside_T in above):
                         continue
                     found.append(~m_S)
@@ -155,34 +134,35 @@ class Lattice:
         maximal members of the index strictly inside K."""
         return self.maximal([S for S in self.inside(K) if S.dim < K.dim])
 
-    def splits(self, B, floor):
-        """The test ``C -> L = B + C and B ∩ C <= floor``; with floor = B it
-        is just L = B + C."""
-        if self._masks is None:
-            full = full_subspace(B.field, self._n)
-            return lambda C: B + C == full and (B & C) <= floor
-        q, shift = self._q, B.dim - self._n
-        m_B = self._mask(B)
-        outside_floor = m_B & ~self._mask(floor)
+    def complements(self, B, floor):
+        """The subalgebras C with L = B + C and B ∩ C <= floor, in order;
+        with floor = B that is just L = B + C.
 
-        def test(C):
-            m_C = self._mask(C)
-            # B + C = L exactly when dim(B ∩ C) = dim B + dim C - n
-            return ((m_B & m_C).bit_count() == q ** (C.dim + shift)
-                    and not m_C & outside_floor)
+        dim C = n - dim B + dim(B ∩ C), so only the layers of dimension
+        n - dim B up to n - dim B + dim floor are read, and each only as
+        far as the caller reads."""
+        self._algebra.check_compatible(B, floor)
+        lo = self._n - B.dim
+        dims = range(lo, min(lo + floor.dim, self._n) + 1)
+        if not self._masked:
+            full = self._algebra.full_space()
+            for k in dims:
+                for C in self.layer(k):
+                    if B + C == full and (B & C) <= floor:
+                        yield C
+            return
+        m_B = element_mask(B)
+        outside_floor = m_B & ~element_mask(floor)
+        for k in dims:
+            # B + C = L exactly when B ∩ C has q^(dim B + dim C - n) elements
+            meet = self._q ** (k - lo)
+            for C in self.layer(k):
+                m_C = element_mask(C)
+                if (m_B & m_C).bit_count() == meet and not m_C & outside_floor:
+                    yield C
 
-        return test
 
-
-class _Layer:
-    """How far one layer of a :class:`Lattice` has been filtered."""
-
-    __slots__ = ("found", "tested", "done")
-
-    def __init__(self):
-        self.found = []
-        self.tested = 0
-        self.done = False
+_ENDED = iter(())  # the filter of every layer read to its end
 
 
 def lattice(L, budget=DEFAULT_BUDGET):
@@ -411,15 +391,11 @@ def _first_witness(L, B, kind, budget, certify):
     def build():
         if not L.is_subalgebra(B):
             raise NotASubalgebraError(f"{kind} search needs a subalgebra")
-        lat = lattice(L, budget)
         core_B = core(L, B)
-        splits = lat.splits(B, core_B)
-        # L = B + C needs dim C >= n - dim B
-        for C in lat.walk(L.dim - B.dim):
-            if splits(C):
-                cert = certify(C, core_B)
-                if cert is not None:
-                    return cert
+        for C in lattice(L, budget).complements(B, core_B):
+            cert = certify(C, core_B)
+            if cert is not None:
+                return cert
         return None
 
     return L.memo((kind, B), build, budget)
@@ -455,13 +431,7 @@ def subideal_complement_mod_core(L, B, budget=DEFAULT_BUDGET):
     core_B = core(L, B)
     Lq, smap = L.quotient(core_B)
     Bq = smap.project_subspace(B)
-    lat = lattice(Lq, budget)
-    complements = lat.splits(Bq, Lq.zero_space())
-    # complements meet trivially, so dimensions add up
-    for Kq in lat.layer(Lq.dim - Bq.dim):
-        if not complements(Kq):
-            continue
-        if subideal_chain(Lq, Kq) is None:
-            continue
-        return smap.preimage_subspace(Kq)
+    for Kq in lattice(Lq, budget).complements(Bq, Lq.zero_space()):
+        if subideal_chain(Lq, Kq) is not None:
+            return smap.preimage_subspace(Kq)
     return None

@@ -148,7 +148,11 @@ class LieAlgebra:
         return span(self.field, self.dim, vectors)
 
     def span_vecs(self, vecs):
-        """The subspace spanned by vectors of ``space``."""
+        """The subspace spanned by vectors of ``space``; anything else
+        raises AmbientMismatchError."""
+        vecs = list(vecs)
+        for v in vecs:
+            self.space.check(v)
         return span_vecs(self.field, self.dim, vecs)
 
     def check_compatible(self, *subspaces):

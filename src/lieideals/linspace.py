@@ -193,9 +193,10 @@ class Subspace:
     holds the basis rows as vectors of ``field.space(n)`` (packed ints over
     GF(p), numerator tuples over Q) and ``rows`` the same rows as coordinate
     tuples.  It is never changed once built, so its hash is computed once,
-    by the constructor."""
+    by the constructor, and its element mask (:func:`element_mask`) once,
+    by the first call that asks for it."""
 
-    __slots__ = ("field", "ambient", "space", "vecs", "pivots", "dim", "_hash")
+    __slots__ = ("field", "ambient", "space", "vecs", "pivots", "dim", "_hash", "_mask")
 
     def __init__(self, field, ambient, vectors):
         space = field.space(ambient)
@@ -213,6 +214,7 @@ class Subspace:
         self.pivots = tuple(basis.pivots)
         self.dim = len(vecs)
         self._hash = hash((field, ambient, vecs))
+        self._mask = None
 
     @classmethod
     def _trusted(cls, space, vecs, pivots):
@@ -225,6 +227,7 @@ class Subspace:
         self.pivots = pivots
         self.dim = len(vecs)
         self._hash = hash((field, ambient, vecs))
+        self._mask = None
         return self
 
     @property
@@ -328,13 +331,17 @@ def element_mask(S):
     """The elements of S, a subspace of GF(q)^n, as one int: bit c is set
     when the vector whose base-q digits are c (coordinate i is the digit of
     q^i) lies in S.  The mask of S ∩ T is mask_S & mask_T, S <= T exactly
-    when mask_S & ~mask_T is 0, and a mask has q^dim(S) bits set."""
-    space = S.space
-    add = space.add
-    elements = [space.zero]
-    for row in S.vecs:
-        elements += [add(e, m) for m in space.multiples(row)[1:] for e in elements]
-    return sum(1 << c for c in map(space.code, elements))
+    when mask_S & ~mask_T is 0, and a mask has q^dim(S) bits set.  It is
+    made once per subspace and kept on it."""
+    mask = S._mask
+    if mask is None:
+        space = S.space
+        add = space.add
+        elements = [space.zero]
+        for row in S.vecs:
+            elements += [add(e, m) for m in space.multiples(row)[1:] for e in elements]
+        mask = S._mask = sum(1 << c for c in map(space.code, elements))
+    return mask
 
 
 def span(field, ambient, vectors):

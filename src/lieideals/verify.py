@@ -325,9 +325,8 @@ def check_lemma_3_5(m):
     for C in lat.subalgebras:
         if subideal_chain(L, C) is None:
             continue
-        sums_to_L = lat.splits(C, C)
-        for U in lat.subalgebras:
-            if not sums_to_L(U) or not L.is_solvable(U):
+        for U in lat.complements(C, C):
+            if not L.is_solvable(U):
                 continue
             hyp += 1
             if derived.min_index_inside(C) is None:
@@ -370,9 +369,8 @@ def check_lemma_4_2(m):
     lower = L.series(LOWER_CENTRAL)
     hyp = 0
     for K in ideals_of(L):
-        sums_to_L = lat.splits(K, K)
-        for B in lat.subalgebras:
-            if not sums_to_L(B) or not L.is_nilpotent(B):
+        for B in lat.complements(K, K):
+            if not L.is_nilpotent(B):
                 continue
             hyp += 1
             if lower.min_index_inside(K) is None:

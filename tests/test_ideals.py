@@ -632,14 +632,16 @@ def test_lattice_mask_tests_match_the_subspace_operators(built):
     for B, m_B in zip(subs, masks):
         core_B = core(L, B)
         outside_core = ~element_mask(core_B)
-        splits = lat.splits(B, core_B)
+        complements = []
         for C, m_C in zip(subs, masks):
             spans = B + C == full
             meet_in_core = (B & C) <= core_B
             assert ((m_B & m_C).bit_count() == q ** (B.dim + C.dim - n)) == spans
             assert (not m_B & m_C & outside_core) == meet_in_core
             assert (not m_B & ~m_C) == (B <= C)
-            assert splits(C) == (spans and meet_in_core)
+            if spans and meet_in_core:
+                complements.append(C)
+        assert list(lat.complements(B, core_B)) == complements
         assert lat.containing(B) == [C for C in subs if B <= C]
         assert lat.inside(B) == [C for C in subs if C <= B]
     proper = subs[:-1]
@@ -650,5 +652,5 @@ def test_lattice_mask_tests_match_the_subspace_operators(built):
 
 def test_lattice_masks_stop_at_the_gate():
     # 61^2 <= MASK_LIMIT < 67^2
-    assert lattice(two_dim_nonabelian(GF(61)).algebra)._masks is not None
-    assert lattice(two_dim_nonabelian(GF(67)).algebra)._masks is None
+    assert lattice(two_dim_nonabelian(GF(61)).algebra)._masked
+    assert not lattice(two_dim_nonabelian(GF(67)).algebra)._masked

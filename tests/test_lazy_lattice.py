@@ -5,11 +5,14 @@ plain paths they replaced.
 builds every RREF basis of a dimension per pivot pattern and sorts them.
 ``LieAlgebra.is_subalgebra`` brackets each unordered pair of basis rows up
 to the first bracket outside S; the oracle spans every ordered product.
-``Lattice`` filters each layer only as far as a walk reads it; the oracle
-filters every subspace at once.
+``Lattice`` filters each layer only as far as a reader reads it; the
+oracle filters every subspace at once.  ``Lattice.complements`` reads only
+the layers a complement can lie in; the oracle filters every subalgebra
+with the Subspace operators.
 """
 
 import ast
+import collections
 import itertools
 import random
 from pathlib import Path
@@ -20,10 +23,12 @@ import lieideals
 from lieideals.corpus import heisenberg, two_dim_nonabelian
 from lieideals.errors import AmbientMismatchError, FieldMismatchError
 from lieideals.exactfield import GF
-from lieideals.ideals import Lattice, lattice
+from lieideals import ideals
+from lieideals.ideals import Lattice, core, lattice
 from lieideals.linspace import (
     DEFAULT_BUDGET,
     Subspace,
+    count_subspaces,
     enumerate_subspaces,
     zero_subspace,
 )
@@ -125,9 +130,15 @@ def _cold(L):
     return Lattice(L, DEFAULT_BUDGET)
 
 
+def _walk(lat, L, k):
+    """The subalgebras of dimension k and up: each layer is read when the
+    walk reaches it."""
+    return itertools.chain.from_iterable(lat.layer(j) for j in range(k, L.dim + 1))
+
+
 def _walks_match(lat, L, eager):
     for k in range(L.dim + 2):
-        assert list(lat.walk(k)) == [S for S in eager if S.dim >= k], k
+        assert list(_walk(lat, L, k)) == [S for S in eager if S.dim >= k], k
     assert lat.subalgebras == eager
 
 
@@ -137,14 +148,14 @@ def test_lazy_walks_match_the_eager_filter(name):
     eager = _eager(L)
     for k in range(L.dim + 1):
         lat = _cold(L)
-        assert list(lat.walk(k)) == [S for S in eager if S.dim >= k]
+        assert list(_walk(lat, L, k)) == [S for S in eager if S.dim >= k]
         assert list(lat.layer(k)) == [S for S in eager if S.dim == k]
     # walks abandoned at seeded points, then every walk read to the end
     rng = random.Random(name)
     for _ in range(3):
         lat = _cold(L)
         for _ in range(6):
-            walk = lat.walk(rng.randrange(L.dim + 1))
+            walk = _walk(lat, L, rng.randrange(L.dim + 1))
             for _ in itertools.islice(walk, rng.randrange(len(eager) + 1)):
                 pass
         _walks_match(lat, L, eager)
@@ -181,16 +192,111 @@ def test_the_lattice_is_the_one_caller_of_the_enumerator():
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 if name == "enumerate_subspaces":
                     callers.add((path.stem, ".".join(scopes.get(node, []))))
-    assert callers == {("ideals", "Lattice.layer")}
+    assert callers == {("ideals", "Lattice.__init__")}
 
 
-# -- masks keyed on the subspace, not its rows ------------------------------
+# -- one live filter per layer ----------------------------------------------
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """How often the lattice's enumerator has yielded each subspace."""
+    counts = collections.Counter()
+    real = ideals.enumerate_subspaces
+
+    def counting(*args, **kwargs):
+        for S in real(*args, **kwargs):
+            counts[S] += 1
+            yield S
+
+    monkeypatch.setattr(ideals, "enumerate_subspaces", counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_each_subspace_is_enumerated_at_most_once_per_lattice(name, enumerated):
+    L = ALGEBRAS[name]
+    subs = lattice(L).subalgebras
+    enumerated.clear()
+    rng = random.Random(name)
+    lat = _cold(L)
+    # reads abandoned at seeded points
+    for _ in range(6):
+        k = rng.randrange(L.dim + 1)
+        for _ in itertools.islice(lat.layer(k), rng.randrange(len(subs) + 1)):
+            pass
+    # two reads of each layer interleaved, and two complement queries
+    B = rng.choice(subs)
+    reads = [lat.layer(k) for k in range(L.dim + 1) for _ in range(2)]
+    reads += [lat.complements(B, B), lat.complements(B, L.zero_space())]
+    while reads:
+        read = rng.choice(reads)
+        if next(read, None) is None:
+            reads.remove(read)
+    assert max(enumerated.values(), default=1) == 1
+    # then everything, each subspace still once
+    assert lat.subalgebras == subs
+    assert max(enumerated.values()) == 1
+    assert sum(enumerated.values()) == count_subspaces(L.field, L.dim)
+
+
+# -- complements ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_complements_match_the_operator_filter(name):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    subs = lat.subalgebras
+    full, zero = L.full_space(), L.zero_space()
+    for B in subs:
+        meets = [B & C if B + C == full else None for C in subs]
+        for floor in (zero, core(L, B), B):
+            expected = [C for C, meet in zip(subs, meets) if meet is not None and meet <= floor]
+            assert list(lat.complements(B, floor)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_complements_read_only_the_layers_a_complement_can_lie_in(name, enumerated):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    for B in lat.subalgebras:
+        for floor in (L.zero_space(), core(L, B), B):
+            enumerated.clear()
+            assert list(_cold(L).complements(B, floor)) == list(lat.complements(B, floor))
+            # dim C = n - dim B + dim(B ∩ C), and B ∩ C lies in the floor
+            lo = L.dim - B.dim
+            assert {S.dim for S in enumerated} == set(range(lo, lo + floor.dim + 1))
+
+
+# -- masks kept on the subspace, not looked up by its rows ------------------
+
+
+def test_masks_are_kept_only_on_the_subspace():
+    # element_mask keeps each mask in its Subspace slot, so no other module
+    # sets one, and the lattice keeps no mask table of its own
+    setters = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "_mask"
+                    and isinstance(node.ctx, ast.Store)):
+                setters.add(path.stem)
+            if isinstance(node, ast.ClassDef) and node.name == "Lattice":
+                dicts = [
+                    n for n in ast.walk(node)
+                    if isinstance(n, (ast.Dict, ast.DictComp))
+                    or isinstance(n, ast.Call) and getattr(n.func, "id", None) == "dict"
+                ]
+                assert dicts == [], "Lattice builds a dict"
+    assert setters == {"linspace"}
 
 LATTICE_QUERIES = {
     "containing": lambda lat, S: lat.containing(S),
     "inside": lambda lat, S: lat.inside(S),
+    "maximal": lambda lat, S: lat.maximal([S]),
     "maximal_below": lambda lat, S: lat.maximal_below(S),
-    "splits": lambda lat, S: [C for C in lat.subalgebras if lat.splits(S, S)(C)],
+    "complements": lambda lat, S: list(lat.complements(S, S)),
 }
 
 

@@ -701,6 +701,49 @@ def test_bilinear_maps_refuse_non_vectors(f):
                     call(bad)
 
 
+def _slots(space, v):
+    return [v >> s & space.slot for s in space.shifts]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_accepts_exactly_the_ints_whose_slots_hold_residues(p, n):
+    space = GF(p).space(n)
+    for v in range(1 << space.bits):
+        if all(x < p for x in _slots(space, v)):
+            space.check(v)
+        else:
+            with pytest.raises(AmbientMismatchError):
+                space.check(v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_slot_holding_p_or_more_is_not_a_vector(p):
+    # a w-bit slot can hold up to 2^w - 1 >= p, so an int of the right width
+    # is not yet a vector: over GF(3) the int 3 would be the pair (0, 3)
+    L = LieAlgebra(GF(p), 2, {(0, 1): (1, 0)})
+    space = L.space
+    e = space.unit(0)
+    line = L.span([(1, 1)])
+    maps = (lambda x: L.bracket(x, e), lambda x: L.bracket(e, x),
+            L.ad_images, L.transposed_ad_images, space.unpack,
+            lambda x: x in L.full_space(), lambda x: x in line,
+            lambda x: L.span_vecs([x]), lambda x: L.span_vecs([e, x]))
+    ints = range(1 << space.bits)
+    bad = [v for v in ints if max(_slots(space, v)) >= p]
+    assert p != 3 or 3 in bad
+    for warm in (False, True):
+        if warm:
+            for v in ints:
+                if v not in bad:
+                    for call in maps:
+                        call(v)
+        for v in bad:
+            for call in maps:
+                with pytest.raises(AmbientMismatchError):
+                    call(v)
+
+
 @settings(max_examples=150, deadline=None)
 @given(q_tables())
 def test_q_jacobi_check_reports_the_oracle_triple_and_residual(case):

@@ -112,10 +112,10 @@ def _brute_is_ideal(L, S):
 
 def _first_splitting_ideal(L, B):
     """The c-ideal search as it was: the first C in ideals_of(L) that splits
-    B over its core."""
-    splits = lattice(L).splits(B, core(L, B))
-    least = L.dim - B.dim
-    return next((C for C in ideals_of(L) if C.dim >= least and splits(C)), None)
+    B over its core, L = B + C and B ∩ C <= core(B), by the Subspace
+    operators."""
+    full, core_B = L.full_space(), core(L, B)
+    return next((C for C in ideals_of(L) if B + C == full and (B & C) <= core_B), None)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
