@@ -16,8 +16,10 @@ coordinates.
 The boundary speaks coordinate tuples (of Fractions over Q):
 ``Subspace(field, n, vectors)``, ``span``, ``Subspace.rows``, membership of
 a tuple of n coordinates, ``basis_strings`` and ``from_basis_strings``, and
-the tuple entry points ``rref`` and ``solve``, which row-reduce through
-:class:`EchelonBasis` like every other caller.
+the tuple entry point ``rref``, which row-reduces through
+:class:`EchelonBasis` like every other caller.  A linear system is solved
+as a kernel: the solutions of M x = t b with t != 0 are read off
+:func:`kernel` on F^(n+1).
 """
 
 import functools
@@ -43,7 +45,7 @@ def unit_vector(field, n, i):
 
 
 # ---------------------------------------------------------------------------
-# row reduction, kernels, solving
+# row reduction and kernels
 # ---------------------------------------------------------------------------
 
 def rref(field, rows):
@@ -53,6 +55,11 @@ def rref(field, rows):
     strictly increasing; the result is the canonical basis of the row space,
     built by :class:`EchelonBasis`.  Rows of differing lengths raise
     AmbientMismatchError.
+
+    Its one library caller is Norton's nullity scan in ``structure``.  It
+    stays a separate entry point because the benchmark tracer counts its
+    calls on the ``lattice-ladder`` workload, and a benchmark test asserts
+    that count is positive.
     """
     rows = list(rows)
     S = Subspace(field, len(rows[0]) if rows else 0, rows)
@@ -81,21 +88,6 @@ def null_vectors(S):
                 x = submul(x, c, e)
         out.append(x)
     return out
-
-
-def solve(field, rows, rhs, ncols=None):
-    """One solution of ``M x = rhs`` or None if the system is inconsistent;
-    M, rhs and x are coordinate tuples."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return tuple(x)
 
 
 class EchelonBasis:

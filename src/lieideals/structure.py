@@ -7,25 +7,31 @@ Predicates that need exhaustive search are restricted to prime fields within
 an explicit budget; everything else works over any supported field.  A
 predicate that cannot decide raises BudgetExceededError or
 EnumerationUnsupportedError rather than guessing; the front ends turn the
-raise into "unsupported".
+raise into "unsupported".  The classifier is structural only: it runs no
+witness search, and the suite's theorem-5.2 check compares it with the
+scan over every line.
 
 Norton's test works in L's coordinates: its test element is the list of
 its images of V's basis, and its dual step is the closure under
 ``L.transposed_ad_images`` that ``ideals.core`` runs.  The characteristic
 polynomial and eigenspaces of ad(x) keep a matrix as the list of its
-columns.  All of it runs on vectors of ``field.space(n)`` through the
-``linspace`` kernel.  Over Q the root search factors coefficients by trial
-division, at most ``budget`` steps each.
+columns, and A v is ``L.bracket(x, v)``.  The x with [x, w] = w on L^2
+is read off a meet of kernels on F^(n+1).  All of it runs on vectors of
+``field.space(n)`` through the ``linspace`` kernel.  Over Q the root
+search factors coefficients by trial division, at most ``budget`` steps
+each.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BudgetExceededError, EnumerationUnsupportedError
 from .exactfield import PrimeField
-from .ideals import core, find_weak_c_witness, lattice, subalgebras
+from .ideals import core, lattice, subalgebras
 from .liecore import LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
@@ -38,7 +44,6 @@ from .linspace import (
     projective_points,
     right_kernel,
     rref,
-    solve,
     span_vecs,
 )
 
@@ -160,9 +165,8 @@ def _char_poly(L, x):
     coeffs[n] = c = f.one
     AM = [space.zero] * n  # the columns of A M_0, M_0 = 0
     for k in range(1, n + 1):
-        # A M_k e_j = A (A M_(k-1) e_j) + c A e_j
-        AM = [space.add(space.lin_comb(space.unpack(m), A), space.scale(c, a))
-              for m, a in zip(AM, A)]
+        # A M_k e_j = [x, A M_(k-1) e_j] + c A e_j, since A v = [x, v]
+        AM = [space.add(L.bracket(x, m), space.scale(c, a)) for m, a in zip(AM, A)]
         tr = sum(space.entry(m, j) for j, m in enumerate(AM))
         c = coeffs[n - k] = f.norm(-tr * f.inv(k))
     return coeffs
@@ -334,33 +338,41 @@ def cartan_subalgebras(L, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 
 def _ad_identity_solution(L, W):
-    """Some x with [x, w] = w for every w in W, or None.
+    """Some x with [x, w] = w for every w in the nonzero subspace W, or
+    None.
 
-    Stacks the linear system over the coordinates of x; any solution works.
+    The pairs (t, x) with [x, w] = t w for every w in W form the meet, over
+    W's basis, of the kernels of (t, x) -> -t w + sum_i x_i [e_i, w].  If
+    some pair has t != 0, the first RREF row of the meet is (1, x).
     """
-    f, space = L.field, L.space
-    n = L.dim
-    rows = []
-    rhs = []
-    for w in W.vecs:
-        # coefficient of x_i in [x, w] is [e_i, w]
-        cols = [space.unpack(img) for img in L.ad_images(w)]
-        rows.extend(zip(*cols))
-        rhs.extend(space.unpack(w))
-    x = solve(f, rows, rhs, n)
-    return None if x is None else space.pack(x)
+    f, n, space = L.field, L.dim, L.space
+    pairs = functools.reduce(
+        operator.and_, (kernel(f, n + 1, [space.neg(w), *L.ad_images(w)], n) for w in W.vecs)
+    )
+    if pairs.is_zero() or not pairs.space.entry(pairs.vecs[0], 0):
+        return None
+    return pairs.space.tail(pairs.vecs[0], space)
+
+
+def _derived_split(L):
+    """(L^2, x) with L^2 nonzero and abelian and [x, w] = w for every w in
+    L^2, or None."""
+    full = L.full_space()
+    der = L.product_space(full, full)
+    if der.is_zero() or not L.product_space(der, der).is_zero():
+        return None
+    x = _ad_identity_solution(L, der)
+    return None if x is None else (der, x)
 
 
 def almost_abelian_part(L):
     """The x with L = L^2 + Fx and [x, y] = y on L^2, or None."""
-    der = L.product_space(L.full_space(), L.full_space())
-    if L.dim != der.dim + 1:
-        return None
-    if not L.product_space(der, der).is_zero():
-        return None
-    if der.dim == 0:
+    if L.dim == 1:
         return L.space.unit(0)
-    return _ad_identity_solution(L, der)
+    split = _derived_split(L)
+    if split is None or split[0].dim != L.dim - 1:
+        return None
+    return split[1]
 
 
 def is_almost_abelian(L):
@@ -369,26 +381,18 @@ def is_almost_abelian(L):
 
 @dataclass
 class OneDimClassification:
-    """Outcome of the classifier for algebras all of whose one-dimensional
-    subalgebras are weak c-ideals."""
+    """Which case of Theorem 5.2 an algebra is in; for case-ii, the split
+    L = A (+) B into an abelian and an almost abelian ideal."""
 
     case: str  # "case-i" | "case-ii" | "neither"
-    A: Optional[Subspace]
-    B: Optional[Subspace]
-    all_one_dim_weak_c: Optional[bool]
-    agrees: Optional[bool]
-    non_witness: Optional[Subspace] = None  # a line that is not a weak c-ideal
+    A: Optional[Subspace] = None
+    B: Optional[Subspace] = None
 
     def to_json(self):
         return {
             "case": self.case,
             "A": None if self.A is None else self.A.basis_strings(),
             "B": None if self.B is None else self.B.basis_strings(),
-            "all_one_dim_weak_c": self.all_one_dim_weak_c,
-            "agrees": self.agrees,
-            "non_witness": None
-            if self.non_witness is None
-            else self.non_witness.basis_strings(),
         }
 
 
@@ -397,18 +401,15 @@ def _case_ii_split(L):
     as (A, B), or None.
 
     Any such A centralizes B, so A lies in the center; B must be
-    L^2 + Fx for a solution x of [x, .] = id on L^2.
+    L^2 + Fx for a solution x of [x, .] = id on L^2.  With L^2 = 0, B
+    would be one-dimensional with B^2 = L^2 = 0: that is case i.
     """
+    split = _derived_split(L)
+    if split is None:
+        return None
+    der, x0 = split
     f = L.field
     full = L.full_space()
-    der = L.product_space(full, full)
-    if der.dim == 0:
-        return None  # B would be one-dimensional with B^2 = L^2 = 0: case i
-    if not L.product_space(der, der).is_zero():
-        return None
-    x0 = _ad_identity_solution(L, der)
-    if x0 is None:
-        return None
     Z = L.center()
     H = Z + der
     if H.dim < L.dim - 1:
@@ -441,39 +442,22 @@ def _case_ii_split(L):
     return (A, B)
 
 
-def classify_one_dim_weak_c(L, budget=DEFAULT_BUDGET):
-    """Structural trichotomy behind "every one-dimensional subalgebra is a
-    weak c-ideal": third lower-central term zero, or a split into an abelian
-    ideal plus an almost abelian ideal, or neither.
+def classify_one_dim_weak_c(L):
+    """The structural side of Theorem 5.2 ("every one-dimensional
+    subalgebra is a weak c-ideal"): case-i when the third lower-central
+    term is zero, case-ii when L splits into an abelian ideal plus an
+    almost abelian ideal, neither otherwise.
 
-    Over prime fields (within budget) the exhaustive one-dimensional search
-    cross-checks the equivalence; over the rationals only the structural
-    classification runs.
+    Runs no search, so it answers over any field and at any size; the
+    suite's theorem-5.2 check compares it with the scan over every line.
     """
     full = L.full_space()
-    der = L.product_space(full, full)
-    lc3 = L.product_space(full, der)
-    if lc3.dim == 0:
-        verdict = OneDimClassification("case-i", None, None, None, None)
-    else:
-        split = _case_ii_split(L)
-        if split is not None:
-            verdict = OneDimClassification("case-ii", split[0], split[1], None, None)
-        else:
-            verdict = OneDimClassification("neither", None, None, None, None)
-    if isinstance(L.field, PrimeField):
-        try:
-            all_weak = True
-            for v in projective_points(L.field, L.dim):
-                if find_weak_c_witness(L, L.span_vecs([v]), budget) is None:
-                    all_weak = False
-                    verdict.non_witness = L.span_vecs([v])
-                    break
-            verdict.all_one_dim_weak_c = all_weak
-            verdict.agrees = (verdict.case != "neither") == all_weak
-        except (BudgetExceededError, EnumerationUnsupportedError):
-            pass
-    return verdict
+    if L.product_space(full, L.product_space(full, full)).is_zero():
+        return OneDimClassification("case-i")
+    split = _case_ii_split(L)
+    if split is None:
+        return OneDimClassification("neither")
+    return OneDimClassification("case-ii", *split)
 
 
 # ---------------------------------------------------------------------------

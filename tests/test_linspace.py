@@ -1,6 +1,6 @@
 """Linear algebra layer: RREF canonicality, span/membership closure
 oracles, subspace enumeration counts against Gaussian binomials and
-against a brute-force span collection, solvers, quotient maps."""
+against a brute-force span collection, kernels, quotient maps."""
 
 import ast
 import itertools
@@ -32,7 +32,6 @@ from lieideals.linspace import (
     projective_points,
     rref,
     right_kernel,
-    solve,
     span,
     unit_vector,
     zero_subspace,
@@ -419,7 +418,7 @@ def test_projective_points():
 
 
 # ---------------------------------------------------------------------------
-# solvers
+# kernels
 # ---------------------------------------------------------------------------
 
 def test_right_kernel_annihilates_and_rank_nullity():
@@ -439,29 +438,6 @@ def test_right_kernel_annihilates_and_rank_nullity():
                 assert all(
                     sum(a * b for a, b in zip(r, k)) % p == 0 for r in rows
                 )
-
-
-def test_solve_known_and_random():
-    f = GF(5)
-
-    def mat_vec(rows, x):
-        return tuple(sum(a * b for a, b in zip(row, x)) % 5 for row in rows)
-
-    # x + 2y = 3, 4y = 2  ->  y = 3, x = 3 - 6 = -3 = 2
-    sol = solve(f, [(1, 2), (0, 4)], (3, 2))
-    assert sol == (2, 3)
-    assert solve(f, [(1, 0), (1, 0)], (1, 2)) is None
-    rng = random.Random(9)
-    for _ in range(40):
-        nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
-        rows = [
-            tuple(rng.randrange(5) for _ in range(ncols)) for _ in range(nrows)
-        ]
-        x = tuple(rng.randrange(5) for _ in range(ncols))
-        rhs = mat_vec(rows, x)
-        got = solve(f, rows, rhs)
-        assert got is not None
-        assert mat_vec(rows, got) == rhs
 
 
 # ---------------------------------------------------------------------------

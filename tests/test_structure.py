@@ -4,12 +4,15 @@ The supersolvability oracle climbs enumerated ideal flags directly and
 never calls the greedy quotient recursion it is checking.
 """
 
+import ast
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lieideals import structure
+from lieideals import ideals, structure
 from lieideals.corpus import (
     abelian,
     almost_abelian,
@@ -22,7 +25,7 @@ from lieideals.corpus import (
 from lieideals.errors import BudgetExceededError, EnumerationUnsupportedError
 from lieideals.exactfield import GF, QQ
 from lieideals.ideals import find_weak_c_witness, ideals_of, subalgebras
-from lieideals.liecore import LieAlgebra
+from lieideals.liecore import LOWER_CENTRAL, LieAlgebra
 from lieideals.linspace import projective_points, unit_vector
 from lieideals.structure import (
     OneDimClassification,
@@ -41,6 +44,7 @@ from lieideals.structure import (
 )
 from lieideals.verify import default_corpus
 from test_packed_kernel import o_rref
+from test_parent_answers import LADDER
 
 
 def vec_add(f, u, v):
@@ -518,12 +522,22 @@ def test_is_almost_abelian_known_values():
     assert not is_almost_abelian(solvable_not_supersolvable(GF(2)))
 
 
+def first_line_without_witness(L):
+    """The first line of L, in projective-point order, with no weak c-ideal
+    witness, or None: the scan the theorem-5.2 check runs, written out."""
+    for v in projective_points(L.field, L.dim):
+        B = L.span_vecs([v])
+        if find_weak_c_witness(L, B) is None:
+            return B
+    return None
+
+
 def test_classifier_case_i_on_heisenberg():
-    v = classify_one_dim_weak_c(heis(GF(2)))
+    L = heis(GF(2))
+    v = classify_one_dim_weak_c(L)
     assert v.case == "case-i"
-    assert v.all_one_dim_weak_c is True
-    assert v.agrees is True
-    assert v.non_witness is None
+    assert v.A is None and v.B is None
+    assert first_line_without_witness(L) is None
 
 
 def test_classifier_case_ii_on_a_direct_sum():
@@ -534,49 +548,126 @@ def test_classifier_case_ii_on_a_direct_sum():
     assert v.A == L.span([(1, 0, 0)])
     assert v.B.dim == 2
     assert L.is_ideal(v.B)
-    assert v.all_one_dim_weak_c is True and v.agrees is True
+    assert first_line_without_witness(L) is None
 
 
 def test_classifier_neither_on_simple_and_on_twisted_solvable():
     S = sl2(GF(3)).algebra
     v = classify_one_dim_weak_c(S)
     assert v.case == "neither"
-    assert v.all_one_dim_weak_c is False and v.agrees is True
-    assert v.non_witness is not None
-    assert find_weak_c_witness(S, v.non_witness) is None
+    line = first_line_without_witness(S)
+    assert line is not None and line.dim == 1
+    assert find_weak_c_witness(S, line) is None
     L = solvable_not_supersolvable(GF(2))
     w = classify_one_dim_weak_c(L)
     assert w.case == "neither"
-    assert w.all_one_dim_weak_c is False and w.agrees is True
+    assert first_line_without_witness(L) is not None
 
 
 def test_classifier_skips_cross_check_over_q():
-    v = classify_one_dim_weak_c(two_dim_nonabelian(QQ).algebra)
+    L = two_dim_nonabelian(QQ).algebra
+    v = classify_one_dim_weak_c(L)
     assert v.case == "case-ii"
-    assert v.all_one_dim_weak_c is None and v.agrees is None
+    assert v.A.is_zero() and v.B == L.full_space()
+    with pytest.raises(EnumerationUnsupportedError):
+        first_line_without_witness(L)
 
 
 def test_classifier_survives_a_blown_budget():
-    v = classify_one_dim_weak_c(heis(GF(2)), budget=1)
+    L = heis(GF(2))
+    with pytest.raises(BudgetExceededError):
+        find_weak_c_witness(L, L.span([(1, 0, 0)]), budget=1)
+    v = classify_one_dim_weak_c(L)
     assert v.case == "case-i"
-    assert v.all_one_dim_weak_c is None and v.agrees is None
 
 
 def test_classification_to_json_shape():
     doc = classify_one_dim_weak_c(heis(GF(2))).to_json()
-    assert set(doc) == {
-        "case",
-        "A",
-        "B",
-        "all_one_dim_weak_c",
-        "agrees",
-        "non_witness",
-    }
-    assert doc["case"] == "case-i" and doc["non_witness"] is None
-    assert isinstance(
-        OneDimClassification("neither", None, None, None, None),
-        OneDimClassification,
-    )
+    assert doc == {"case": "case-i", "A": None, "B": None}
+    f = GF(2)
+    L = direct_sum(abelian(f, 1).algebra, two_dim_nonabelian(f).algebra)
+    doc = classify_one_dim_weak_c(L).to_json()
+    assert set(doc) == {"case", "A", "B"}
+    assert doc["A"] == [["1", "0", "0"]] and len(doc["B"]) == 2
+    assert isinstance(OneDimClassification("neither"), OneDimClassification)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heis(GF(2)),
+    lambda: abelian(GF(2), 20).algebra,  # more lines than the budget
+    lambda: two_dim_nonabelian(QQ).algebra,
+], ids=["heisenberg-gf2", "abelian20-gf2", "nonabelian2-q"])
+def test_the_classifier_runs_no_search(build, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the classifier ran a witness search")
+
+    monkeypatch.setattr(ideals, "_first_witness", no_search)
+    L = build()
+    assert classify_one_dim_weak_c(L).case in ("case-i", "case-ii")
+
+
+WITNESS_SEARCHES = {"find_weak_c_witness", "find_c_witness", "is_weak_c_ideal", "_first_witness"}
+
+
+def test_structure_neither_imports_nor_calls_a_witness_search():
+    tree = ast.parse(Path(structure.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & WITNESS_SEARCHES
+
+
+def _brute_identity_solutions(L, W):
+    """Every x of F^n with [x, w] = w for every w in W."""
+    space = L.space
+    for coords in itertools.product(range(L.field.p), repeat=L.dim):
+        x = space.pack(coords)
+        if all(L.bracket(x, w) == w for w in W.vecs):
+            yield x
+
+
+DIFFERENTIAL = {m.member_id: m.algebra for m in default_corpus() if m.algebra.dim <= 5}
+DIFFERENTIAL.update({name: build().algebra for name, build in LADDER.items()})
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_ad_identity_solution_matches_brute_force(name):
+    L = DIFFERENTIAL[name]
+    for W in ideals_of(L):
+        if W.is_zero():
+            continue
+        x = structure._ad_identity_solution(L, W)
+        solutions = set(_brute_identity_solutions(L, W))
+        if x is None:
+            assert not solutions, W
+        else:
+            assert x in solutions, W
+
+
+@pytest.mark.parametrize("build, solvable", [
+    (lambda: two_dim_nonabelian(QQ), True),
+    (lambda: almost_abelian(QQ, 3), True),
+    (lambda: almost_abelian(QQ, 4), True),
+    (lambda: heisenberg(QQ), False),
+    (lambda: sl2(QQ), False),
+])
+def test_ad_identity_solution_over_q_solves_the_system(build, solvable):
+    L = build().algebra
+    der = L.product_space(L.full_space(), L.full_space())
+    spaces = {der, L.center(), *L.series(LOWER_CENTRAL).terms, L.full_space()}
+    for W in spaces:
+        if W.is_zero():
+            continue
+        x = structure._ad_identity_solution(L, W)
+        if W == der:
+            assert (x is not None) == solvable
+        if x is not None:
+            assert all(L.bracket(x, w) == w for w in W.vecs)
 
 
 # -- report -----------------------------------------------------------------

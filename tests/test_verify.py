@@ -21,9 +21,10 @@ from lieideals.corpus import (
     two_dim_nonabelian,
 )
 from lieideals.exactfield import GF, QQ
-from lieideals.ideals import subideal_chain
+from lieideals.ideals import find_weak_c_witness, subideal_chain
 from lieideals.liecore import LOWER_CENTRAL, LieAlgebra
-from lieideals.structure import minimal_ideals
+from lieideals.linspace import Subspace
+from lieideals.structure import OneDimClassification, minimal_ideals
 
 
 def member(member_id, built):
@@ -74,6 +75,45 @@ def test_lemma_5_1_over_q_is_unsupported_and_a_q_suite_runs():
     assert len(report.results) == 2 * len(V.ALL_CHECK_IDS)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("heisenberg-q", heisenberg), ("nonabelian2-q", two_dim_nonabelian)])
+def test_theorem_5_2_over_q_reports_the_field_not_a_budget(name, build):
+    # the line scan over Q is unsupported for the field, as in lemma-5.1;
+    # no budget is involved
+    m = member(name, build(QQ))
+    r = V.run_check("theorem-5.2", m)
+    assert r.status == V.UNSUPPORTED and r.hypotheses == 0
+    assert r.details == {"reason": "subspace enumeration unsupported over infinite field Q"}
+    assert r.details == V.run_check("lemma-5.1", m).details
+
+
+def test_theorem_5_2_over_budget_keeps_the_case_and_its_reason():
+    # each line's witness search needs the lattice of GF(2)^20, past the
+    # budget; the classifier still names the case
+    r = V.run_check("theorem-5.2", member("abelian20-gf2", abelian(GF(2), 20)))
+    assert r.status == V.UNSUPPORTED and r.hypotheses == 0
+    assert r.details == {"case": "case-i", "reason": "one-dimensional scan out of budget"}
+
+
+def test_theorem_5_2_fail_row_names_the_case_and_the_line(monkeypatch):
+    # the classifier is forced to disagree with the line scan both ways
+    monkeypatch.setattr(V, "classify_one_dim_weak_c", lambda L: OneDimClassification("neither"))
+    r = V.run_check("theorem-5.2", heis_member())
+    assert r.status == V.FAIL and r.hypotheses == 7
+    assert r.details == {
+        "case": "neither", "A": None, "B": None,
+        "all_one_dim_weak_c": True, "non_witness": None,
+    }
+    monkeypatch.setattr(V, "classify_one_dim_weak_c", lambda L: OneDimClassification("case-i"))
+    m = member("sl2-gf3", sl2(GF(3)))
+    r = V.run_check("theorem-5.2", m)
+    assert r.status == V.FAIL and r.hypotheses == 13
+    line = r.details.pop("non_witness")
+    assert r.details == {"case": "case-i", "A": None, "B": None, "all_one_dim_weak_c": False}
+    B = Subspace.from_basis_strings(GF(3), 3, line)
+    assert B.dim == 1 and find_weak_c_witness(m.algebra, B) is None
+
+
 def test_an_undecided_predicate_reports_unsupported_with_its_bound():
     # GF(2)^20 has 1,048,575 lines, over the default budget of 10^6, so
     # is_simple gives up before the weak c-simplicity scan starts
@@ -108,7 +148,7 @@ def test_only_the_front_ends_catch_the_give_up_errors():
         "cli.cmd_check",
         "structure.flags",
         "structure.structure_report",
-        "structure.classify_one_dim_weak_c",
+        "verify.check_theorem_5_2",
     }
 
 
