@@ -4,12 +4,25 @@ A subalgebra B is a weak c-ideal of L when some subideal C satisfies
 L = B + C with B ∩ C inside the core of B (the largest ideal of L contained
 in B).  Searches return certificate objects that can be re-validated from
 scratch, so soundness never rests on the search machinery.
+
+Every such property is invariant under Aut(L): phi(B) is a weak c-ideal
+with witness phi(C) when B is one with witness C.  ``automorphisms(L)``
+finds a few automorphisms by a bounded, seeded search and re-checks each
+with ``is_automorphism``; ``Lattice.orbits`` cuts the lattice into the
+orbits of the group they generate, so a loop over every subalgebra can run
+over one representative per orbit, weighted by the orbit size.  When the
+search finds nothing the group is trivial and the orbits are the single
+subalgebras, so the answer is the same, only reached with more work.
 """
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotASubalgebraError, NotContainedError
+from .exactfield import PrimeField
+from .liecore import DERIVED, LOWER_CENTRAL
 from .linspace import (
     DEFAULT_BUDGET,
     MASK_LIMIT,
@@ -50,7 +63,7 @@ class Lattice:
     checks its argument subspaces against L's space first.
     """
 
-    __slots__ = ("_algebra", "_n", "_q", "_masked", "_found", "_filters", "_all")
+    __slots__ = ("_algebra", "_n", "_q", "_masked", "_found", "_filters", "_all", "_orbit")
 
     def __init__(self, L, budget):
         check_enumeration(L.field, L.dim, budget)
@@ -63,6 +76,7 @@ class Lattice:
         self._filters = [filter(A.is_subalgebra, enumerate_subspaces(L.field, n, k, budget=None))
                          for k in range(n + 1)]
         self._all = None
+        self._orbit = None
 
     def layer(self, k):
         """The subalgebras of dimension k, in order, filtered as they are
@@ -161,6 +175,18 @@ class Lattice:
                 if (m_B & m_C).bit_count() == meet and not m_C & outside_floor:
                     yield C
 
+    def orbits(self, members=None):
+        """``(representative, size)`` for each orbit of the group that
+        :func:`automorphisms` generates on ``members`` (default: every
+        subalgebra), in canonical order.  The representative is the first
+        member of its orbit.  ``members`` must be a union of whole orbits,
+        as the ideals are, or ValueError is raised.  With the trivial group
+        every member is its own orbit of size 1."""
+        subs = self.subalgebras
+        if self._orbit is None:
+            self._orbit = _orbit_index(self._algebra, subs)
+        return _orbits(subs, self._orbit, members)
+
 
 _ENDED = iter(())  # the filter of every layer read to its end
 
@@ -181,6 +207,150 @@ def ideals_of(L, budget=DEFAULT_BUDGET):
         return [S for S in subalgebras(L, budget) if L.is_ideal(S)]
 
     return L.memo("ideals", build, budget)
+
+
+# ---------------------------------------------------------------------------
+# automorphisms and orbits on the lattice
+# ---------------------------------------------------------------------------
+
+_SEARCH_SEED = 27       # the search's candidate order is seeded by this constant
+_SEARCH_TRIES = 8       # searches for one automorphism each
+_SEARCH_NODES = 20_000  # candidate images tried over all the searches
+
+
+def is_automorphism(L, images):
+    """Whether e_i -> images[i], vectors of L's space, is an automorphism of
+    L: the images are a basis and [phi e_i, phi e_j] = phi [e_i, e_j] on
+    every basis pair."""
+    space, n = L.space, L.dim
+    if len(images) != n or L.span_vecs(images).dim != n:
+        return False
+    return all(
+        L.bracket(images[i], images[j]) == space.lin_comb(L.bracket_basis(i, j), images)
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def automorphisms(L):
+    """A few automorphisms of L, each as its tuple of basis images; the
+    identity is left out, and only maps that :func:`is_automorphism`
+    accepts are kept, so no answer rests on the search being right.
+
+    A backtracking search assigns the images of e_0, e_1, ... in turn and
+    tests each bracket [e_i, e_j] as soon as the images of i, j and the
+    support of [e_i, e_j] are assigned.  An image must share e_i's
+    invariants under Aut(L): the ranks of ad and ad^2 and which terms of the
+    derived and lower central series, and the centre, contain it.  The
+    candidate order is shuffled by a constant seed and the searches share a
+    constant node cap, so the answer depends on the structure constants
+    alone; a search that reaches the cap adds nothing.  Over GF(q) with
+    q^n > MASK_LIMIT, and over Q, no search runs and the answer is the
+    trivial group, which is still exact for :meth:`Lattice.orbits`, only
+    with finer orbits."""
+    def build():
+        if not isinstance(L.field, PrimeField) or L.field.p ** L.dim > MASK_LIMIT:
+            return ()
+        return tuple(images for images in _automorphism_search(L) if is_automorphism(L, images))
+
+    return L.memo("automorphisms", build)
+
+
+def _invariants(L, v, terms):
+    """The Aut(L)-invariants of v: the ranks of ad(v) and ad(v)^2, and
+    which of the characteristic ideals ``terms`` contain v."""
+    image = L.span_vecs(L.ad_images(v))
+    square = L.span_vecs([L.bracket(v, w) for w in image.vecs])
+    return image.dim, square.dim, tuple(v in T for T in terms)
+
+
+def _automorphism_search(L):
+    """The distinct automorphisms other than the identity that up to
+    ``_SEARCH_TRIES`` seeded searches find within ``_SEARCH_NODES``
+    candidate images in all."""
+    n, space = L.dim, L.space
+    terms = (*L.series(DERIVED).terms, *L.series(LOWER_CENTRAL).terms, L.center())
+    by_invariants = {}
+    for v in itertools.islice(space.block(0, n), 1, None):
+        by_invariants.setdefault(_invariants(L, v, terms), []).append(v)
+    units = [space.unit(i) for i in range(n)]
+    candidates = [by_invariants[_invariants(L, e, terms)] for e in units]
+    # ready[d]: the basis pairs whose bracket is testable once e_0..e_d have images
+    ready = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs = L.bracket_basis(i, j)
+            ready[max([j] + [k for k, c in enumerate(coeffs) if c])].append((i, j, coeffs))
+    rng = random.Random(_SEARCH_SEED)
+    nodes = _SEARCH_NODES
+    images, spans = [], [L.zero_space()]
+
+    def place(d):
+        nonlocal nodes
+        if d == n:
+            return True
+        order = list(candidates[d])
+        rng.shuffle(order)
+        for v in order:
+            if nodes == 0:
+                return False
+            nodes -= 1
+            if v in spans[d]:
+                continue
+            images.append(v)
+            if all(L.bracket(images[i], images[j]) == space.lin_comb(coeffs, images)
+                   for i, j, coeffs in ready[d]):
+                spans.append(spans[d] + L.span_vecs([v]))
+                if place(d + 1):
+                    return True
+                spans.pop()
+            images.pop()
+        return False
+
+    found = []
+    for _ in range(_SEARCH_TRIES):
+        images.clear()
+        del spans[1:]
+        if place(0) and images != units and tuple(images) not in found:
+            found.append(tuple(images))
+    return found
+
+
+def _orbits(subs, root, members):
+    """``(representative, size)`` per orbit met by ``members``, from the
+    orbit index ``root`` of ``subs`` (see :meth:`Lattice.orbits`)."""
+    if members is None:
+        sizes = Counter(root)
+    else:
+        where = {S: i for i, S in enumerate(subs)}
+        sizes = Counter(root[where[S]] for S in members)
+        whole = Counter(root)
+        if any(whole[r] != k for r, k in sizes.items()):
+            raise ValueError("the members are not a union of whole orbits")
+    return [(subs[r], sizes[r]) for r in sorted(sizes)]
+
+
+def _orbit_index(L, subs):
+    """For each subalgebra in ``subs`` (every one of L's, in canonical
+    order), the position of the first subalgebra of its orbit under
+    :func:`automorphisms`, by union-find over each generator's action."""
+    root = list(range(len(subs)))
+    gens = automorphisms(L)
+    if not gens:
+        return root
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    where = {S: i for i, S in enumerate(subs)}
+    space = L.space
+    for images in gens:
+        for i, S in enumerate(subs):
+            image = L.span_vecs([space.lin_comb(space.unpack(v), images) for v in S.vecs])
+            a, b = find(i), find(where[image])
+            root[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(subs))]
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,11 @@ class LieAlgebra:
 
     def product_space(self, A, B):
         """Span of all brackets [a, b] over basis pairs of A and B.  The
-        bracket is alternating, so [A, A] needs each unordered pair once."""
+        bracket is alternating, so [A, A] needs each unordered pair once,
+        and [L, L] is spanned by the nonzero structure constants."""
         self.check_compatible(A, B)
+        if A.is_full() and B.is_full():
+            return span_vecs(self.field, self.dim, self._table.values())
         if A == B:
             vecs = A.vecs
             brackets = [self.bracket(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1:]]

@@ -35,7 +35,7 @@ from lieideals.exactfield import GF, QQ
 from lieideals.ideals import _ENDED, find_weak_c_witness, ideal_closure, lattice
 from lieideals.liecore import DERIVED, LOWER_CENTRAL, LieAlgebra
 from lieideals.linspace import Subspace, unit_vector
-from test_parent_answers import ALGEBRAS
+from test_parent_answers import ALGEBRAS, LADDER
 
 PACKAGE = Path(lieideals.__file__).parent
 
@@ -205,6 +205,43 @@ def test_product_space_and_closure_on_heisenberg():
     assert not L.is_ideal(line)
     assert L.product_space(line, line).is_zero()
     assert L.is_ideal(L.span([(0, 0, 1)]))
+
+
+def _derived_algebras():
+    from test_structure import Q_ALGEBRAS
+    from lieideals.verify import default_corpus
+    out = {m.member_id: m.algebra for m in default_corpus()}
+    out.update({name: build().algebra for name, build in LADDER.items()})
+    out.update({f"{name}-q": build() for name, build in Q_ALGEBRAS.items()})
+    return out
+
+
+DERIVED_ALGEBRAS = _derived_algebras()
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_ALGEBRAS))
+def test_derived_algebra_from_the_table_matches_pairwise_brackets(name):
+    L = DERIVED_ALGEBRAS[name]
+    units = [L.space.unit(i) for i in range(L.dim)]
+    pairwise = L.span_vecs([L.bracket(a, b) for a in units for b in units])
+    full = L.full_space()
+    assert L.product_space(full, full) == pairwise
+    assert L.series(DERIVED).terms[1] == pairwise
+    assert L.series(LOWER_CENTRAL).terms[1] == pairwise
+
+
+def test_the_derived_algebra_brackets_nothing(monkeypatch):
+    # [L, L] is read off the structure constants, so a 2000-dimensional
+    # algebra with one bracket answers nilpotent and solvable at once
+    L = LieAlgebra(GF(2), 2000, {(0, 1): unit_vector(GF(2), 2000, 2)})
+    calls = []
+    bracket = LieAlgebra.bracket
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda self, x, y: calls.append(1) or bracket(self, x, y))
+    full = L.full_space()
+    assert L.product_space(full, full) == L.span([unit_vector(GF(2), 2000, 2)])
+    assert not calls
+    assert L.is_nilpotent() and L.is_solvable()
+    assert len(calls) <= 2 * L.dim
 
 
 def test_series_terms_heisenberg():
