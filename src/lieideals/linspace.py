@@ -476,63 +476,38 @@ def check_enumeration(field, n, budget, dims=None):
             raise BudgetExceededError(total, budget)
 
 
-def _first_rows(space, p, cands, need, memo):
-    """The rows of F^n with leading 1 at column p whose zero set among the
-    later pivot candidates ``cands`` has at least ``need`` columns, in
-    increasing order, each with that zero set.
-
-    Columns are settled left to right, and a candidate takes a nonzero
-    entry only while enough candidates are left to supply the zeros, so
-    every row produced extends to a basis.  Shared tails are computed once
-    per call of :func:`enumerate_subspaces` (``memo``)."""
-    head = space.unit(p)
-    return [(head | v, zeros) for v, zeros in _tails(space, p + 1, cands, need, memo)]
-
-
-def _tails(space, start, cands, need, memo):
-    key = (start, cands, need)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if not cands:
-        out = [(v, ()) for v in space.block(start, space.n)]
-    else:
-        c, rest = cands[0], cands[1:]
-        after = _tails(space, c + 1, rest, need - 1, memo)
-        if len(rest) >= need:
-            # a nonzero entry at c still leaves enough zeros among the rest
-            free = _tails(space, c + 1, rest, need, memo)
-            nonzero = [space.unit(c) * a for a in range(1, space.field.characteristic())]
-        else:
-            free, nonzero = (), ()
-        out = []
-        for h in space.block(start, c):
-            out += [(h | v, (c,) + zeros) for v, zeros in after]
-            for a in nonzero:
-                out += [(h | a | v, zeros) for v, zeros in free]
-    memo[key] = out
-    return out
-
-
-def _echelon_rows(space, k, pivot_cols, memo):
+def _echelon_rows(space, k, pivot_cols):
     """The k-row RREF bases of F^n whose pivots lie in ``pivot_cols``
     (increasing columns), as ``(rows, pivots)`` in lexicographic order of
     the rows.
 
     Row 0 comes first: a later pivot means more leading zeros, so its pivot
-    runs from the last candidate column down, and its entries after the
-    pivot run in increasing order, skipping rows with fewer than k - 1 zero
-    candidates left.  The other rows are the (k-1)-row bases that pivot
-    only at later candidates where row 0 is zero.
+    p runs from the last candidate column down, and its tail, the entries
+    after p, runs over ``space.block(p + 1, n)`` in increasing order.  The
+    other rows are the (k-1)-row bases that pivot only at later candidates
+    where that tail is zero, so a tail with fewer than k - 1 such columns
+    is skipped.  A single row has no later rows and is yielded directly.
+    Nothing is kept between bases: a tail is made again each time its
+    pivot comes round.
     """
     if k == 0:
         yield (), ()
         return
+    n, shifts, slot = space.n, space.shifts, space.slot
     for i in range(len(pivot_cols) - k, -1, -1):
         p = pivot_cols[i]
-        for row, later in _first_rows(space, p, pivot_cols[i + 1:], k - 1, memo):
-            for rows, pivots in _echelon_rows(space, k - 1, later, memo):
-                yield (row,) + rows, (p,) + pivots
+        head = space.unit(p)
+        if k == 1:
+            for tail in space.block(p + 1, n):
+                yield (head | tail,), (p,)
+            continue
+        later = [(c, shifts[c]) for c in pivot_cols[i + 1:]]
+        for tail in space.block(p + 1, n):
+            zeros = tuple([c for c, s in later if not tail >> s & slot])
+            if len(zeros) >= k - 1:
+                row = head | tail
+                for rows, pivots in _echelon_rows(space, k - 1, zeros):
+                    yield (row,) + rows, (p,) + pivots
 
 
 def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
@@ -540,15 +515,16 @@ def enumerate_subspaces(field, n, dim_filter=None, budget=DEFAULT_BUDGET):
 
     Order is by dimension, then lexicographic on the RREF basis matrix.
     Bases are generated directly in that order, so nothing is sorted or
-    held back: the first subspaces of a dimension cost only themselves.
+    held back: the first subspaces of a dimension cost only themselves,
+    and nothing is kept between subspaces but the generator frames and one
+    pivots tuple per pivot pattern.
     """
     dims = _normalize_dims(n, dim_filter)
     check_enumeration(field, n, budget, dims)
     space = field.space(n)
     shared = {}  # one pivots tuple per pattern, as rows share their vectors
-    memo = {}
     for k in dims:
-        for rows, pivots in _echelon_rows(space, k, tuple(range(n)), memo):
+        for rows, pivots in _echelon_rows(space, k, tuple(range(n))):
             yield Subspace._trusted(space, rows, shared.setdefault(pivots, pivots))
 
 
