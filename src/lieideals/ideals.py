@@ -9,15 +9,17 @@ Every such property is invariant under Aut(L): phi(B) is a weak c-ideal
 with witness phi(C) when B is one with witness C.  ``automorphisms(L)``
 finds a few automorphisms by a bounded, seeded search and re-checks each
 with ``is_automorphism``; ``Lattice.orbits`` cuts the lattice into the
-orbits of the group they generate, so a loop over every subalgebra can run
-over one representative per orbit, weighted by the orbit size.  When the
-search finds nothing the group is trivial and the orbits are the single
+orbits of the group they generate, or of the subgroup generated by those
+that fix a given subalgebra, so a loop over every subalgebra can run over
+one representative per orbit, weighted by the orbit size.  When the search
+finds nothing the group is trivial and the orbits are the single
 subalgebras, so the answer is the same, only reached with more work.
 """
 
+import bisect
 import itertools
 import random
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 
 from .errors import NotASubalgebraError, NotContainedError
@@ -63,7 +65,7 @@ class Lattice:
     checks its argument subspaces against L's space first.
     """
 
-    __slots__ = ("_algebra", "_n", "_q", "_masked", "_found", "_filters", "_all", "_orbit")
+    __slots__ = ("_algebra", "_n", "_q", "_masked", "_found", "_filters", "_all", "_perms")
 
     def __init__(self, L, budget):
         check_enumeration(L.field, L.dim, budget)
@@ -76,7 +78,7 @@ class Lattice:
         self._filters = [filter(A.is_subalgebra, enumerate_subspaces(L.field, n, k, budget=None))
                          for k in range(n + 1)]
         self._all = None
-        self._orbit = None
+        self._perms = None
 
     def layer(self, k):
         """The subalgebras of dimension k, in order, filtered as they are
@@ -175,17 +177,36 @@ class Lattice:
                 if (m_B & m_C).bit_count() == meet and not m_C & outside_floor:
                     yield C
 
-    def orbits(self, members=None):
-        """``(representative, size)`` for each orbit of the group that
-        :func:`automorphisms` generates on ``members`` (default: every
-        subalgebra), in canonical order.  The representative is the first
-        member of its orbit.  ``members`` must be a union of whole orbits,
-        as the ideals are, or ValueError is raised.  With the trivial group
-        every member is its own orbit of size 1."""
+    def orbits(self, members=None, fixing=None):
+        """``(representative, size)`` for each orbit on ``members`` (default:
+        every subalgebra) of the group generated by the automorphisms from
+        :func:`automorphisms` that map the subalgebra ``fixing`` onto itself
+        (all of them when ``fixing`` is None), in canonical order.  That
+        group lies inside the stabilizer of ``fixing``, so a loop that needs
+        ``fixing`` kept in place may weight each representative by its orbit
+        size.  The representative is the first member of its orbit.
+        ``members`` must be closed under the group, as the ideals are under
+        every automorphism, or ValueError is raised.  With the trivial group
+        every member is its own orbit of size 1.
+
+        Each generator's permutation of the subalgebra positions is built
+        once per lattice (:func:`_permutations`); a member is found by its
+        place in the canonical order, so the lattice keeps no dict."""
+        members = None if members is None else list(members)
+        fixed = () if fixing is None else (fixing,)
+        self._algebra.check_compatible(*(members or ()), *fixed)
         subs = self.subalgebras
-        if self._orbit is None:
-            self._orbit = _orbit_index(self._algebra, subs)
-        return _orbits(subs, self._orbit, members)
+        if self._perms is None:
+            self._perms = _permutations(self._algebra, subs)
+        gens = self._perms
+        for X in fixed:
+            x = _position(subs, X)
+            gens = [g for g in gens if g[x] == x]
+        if members is None:
+            positions = range(len(subs))
+        else:
+            positions = [_position(subs, S) for S in members]
+        return [(subs[r], size) for r, size in _orbits(len(subs), positions, gens)]
 
 
 _ENDED = iter(())  # the filter of every layer read to its end
@@ -315,42 +336,70 @@ def _automorphism_search(L):
     return found
 
 
-def _orbits(subs, root, members):
-    """``(representative, size)`` per orbit met by ``members``, from the
-    orbit index ``root`` of ``subs`` (see :meth:`Lattice.orbits`)."""
-    if members is None:
-        sizes = Counter(root)
-    else:
-        where = {S: i for i, S in enumerate(subs)}
-        sizes = Counter(root[where[S]] for S in members)
-        whole = Counter(root)
-        if any(whole[r] != k for r, k in sizes.items()):
+def _position(subs, S):
+    """The place of S in ``subs``, the canonical list of every subalgebra;
+    a subspace that is not there is not a subalgebra."""
+    i = bisect.bisect_left(subs, S.sort_key(), key=Subspace.sort_key)
+    if i == len(subs) or subs[i] != S:
+        raise NotASubalgebraError("orbits are defined on subalgebras only")
+    return i
+
+
+def _orbits(count, positions, gens):
+    """``(position, size)`` per orbit of the permutations ``gens`` of
+    ``range(count)`` on ``positions``, in increasing order, the position
+    being the least of its orbit; ValueError unless ``positions`` lists
+    each member once and the members are closed under ``gens``."""
+    state = bytearray(count)  # 0: not a member, 1: member, 2: member seen
+    for i in positions:
+        if state[i]:
             raise ValueError("the members are not a union of whole orbits")
-    return [(subs[r], sizes[r]) for r in sorted(sizes)]
+        state[i] = 1
+    out = []
+    for i in sorted(positions):
+        if state[i] == 2:
+            continue
+        state[i] = 2
+        orbit = [i]
+        for j in orbit:
+            for g in gens:
+                k = g[j]
+                if state[k] == 1:
+                    state[k] = 2
+                    orbit.append(k)
+                elif not state[k]:
+                    raise ValueError("the members are not a union of whole orbits")
+        out.append((i, len(orbit)))
+    return out
 
 
-def _orbit_index(L, subs):
-    """For each subalgebra in ``subs`` (every one of L's, in canonical
-    order), the position of the first subalgebra of its orbit under
-    :func:`automorphisms`, by union-find over each generator's action."""
-    root = list(range(len(subs)))
+def _permutations(L, subs):
+    """For each generator from :func:`automorphisms`, the position in
+    ``subs`` (every subalgebra of L, in canonical order) of the image of
+    each subalgebra, as an ``array`` of ints.  Each basis vector is mapped
+    once per generator, and an image is reduced into its canonical RREF
+    basis by ``space.insert`` and found by its rows, with no Subspace
+    built."""
     gens = automorphisms(L)
     if not gens:
-        return root
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    where = {S: i for i, S in enumerate(subs)}
+        return ()
     space = L.space
+    position = {S.vecs: i for i, S in enumerate(subs)}
+    perms = []
     for images in gens:
-        for i, S in enumerate(subs):
-            image = L.span_vecs([space.lin_comb(space.unpack(v), images) for v in S.vecs])
-            a, b = find(i), find(where[image])
-            root[max(a, b)] = min(a, b)
-    return [find(i) for i in range(len(subs))]
+        mapped = {}
+
+        def image_position(S):
+            vecs, pivots = [], []
+            for v in S.vecs:
+                w = mapped.get(v)
+                if w is None:
+                    w = mapped[v] = space.lin_comb(space.unpack(v), images)
+                space.insert(vecs, pivots, w)
+            return position[tuple(vecs)]
+
+        perms.append(array("i", map(image_position, subs)))
+    return tuple(perms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,22 @@ evaluated over finite fields for the record.  They report observed-true or
 observed-false and never fail.  Checks whose exhaustive search would blow
 the enumeration budget report unsupported instead of guessing.
 
-The lattice checks whose outer loop runs over every subalgebra or every
-ideal (``lemma-2.4-1``, ``lemma-2.4-3``, ``lemma-2.4-4``,
-``proposition-2.5``, ``lemma-2.7`` and ``lemma-3.5``) run it over one
-representative per orbit of ``ideals.automorphisms(L)``
-(``Lattice.orbits``) and add the orbit size where they counted one
-hypothesis, so their counts stay exact; inner loops stay complete.  A fail
-row names the first failing representative.
+Every statement these checks quantify over is invariant under Aut(L), so
+the checks that loop over every subalgebra, ideal, maximal subalgebra or
+line (``lemma-2.4-1``, ``lemma-2.4-3``, ``lemma-2.4-4``,
+``proposition-2.5``, ``lemma-2.7``, ``theorem-3.2-forward``,
+``corollary-3.3-forward``, ``lemma-3.5``, ``lemma-4.1``, ``lemma-4.2``,
+``lemma-5.1`` and the observational ``theorem-3.2`` and ``corollary-3.3``)
+run that loop over one representative per orbit of the group that
+``ideals.automorphisms(L)`` generates (``Lattice.orbits``) and add the
+orbit size where they counted one hypothesis, so their counts stay exact.
+An inner loop that must keep the outer subalgebra X in place (the K over B
+in ``lemma-2.4-3``, the B over I in ``lemma-2.4-4``, the maximal
+subalgebras against B in ``theorem-3.2*``) runs over the orbits of the
+generators that fix X (``orbits(members, fixing=X)``), a subgroup of the
+stabilizer of X, and adds the product of the two sizes.  ``lemma-2.4-2``
+and ``theorem-5.2`` stop at their first hit in canonical order, so they
+stay plain loops.  A fail row names the first failing representative.
 """
 
 import json
@@ -210,8 +219,8 @@ def check_lemma_2_4_3(m):
     for B, size in lat.orbits():
         if not is_weak_c_ideal(L, B):
             continue
-        for K in lat.containing(B):
-            hyp += size
+        for K, k in lat.orbits(lat.containing(B), fixing=B):
+            hyp += size * k
             Lk, smap = L.restrict(K)
             if find_weak_c_witness(Lk, smap.project_subspace(B)) is None:
                 return FAIL, hyp, {"B": _rows(B), "K": _rows(K)}
@@ -226,8 +235,8 @@ def check_lemma_2_4_4(m):
     hyp = 0
     for I, size in lat.orbits(ideals_of(L)):
         Lq, smap = L.quotient(I)
-        for B in lat.containing(I):
-            hyp += size
+        for B, k in lat.orbits(lat.containing(I), fixing=I):
+            hyp += size * k
             below = is_weak_c_ideal(L, B)
             Bq = smap.project_subspace(B)
             above = find_weak_c_witness(Lq, Bq) is not None
@@ -297,15 +306,16 @@ def check_theorem_3_2_forward(m):
     """For a solvable ideal B, every maximal subalgebra not containing B is
     a c-ideal (the construction via derived powers of B)."""
     L = m.algebra
+    lat = lattice(L)
     maxes = maximal_subalgebras(L)
     hyp = 0
-    for B in ideals_of(L):
+    for B, size in lat.orbits(ideals_of(L)):
         if not L.is_solvable(B):
             continue
-        for M in maxes:
+        for M, k in lat.orbits(maxes, fixing=B):
             if B <= M:
                 continue
-            hyp += 1
+            hyp += size * k
             if find_c_witness(L, M) is None:
                 return FAIL, hyp, {"B": _rows(B), "M": _rows(M)}
     return PASS, hyp, {}
@@ -317,8 +327,8 @@ def check_corollary_3_3_forward(m):
     if not L.is_solvable():
         return PASS, 0, {"note": "not solvable, hypothesis empty"}
     hyp = 0
-    for M in maximal_subalgebras(L):
-        hyp += 1
+    for M, size in lattice(L).orbits(maximal_subalgebras(L)):
+        hyp += size
         if not is_weak_c_ideal(L, M):
             return FAIL, hyp, {"M": _rows(M)}
     return PASS, hyp, {}
@@ -349,10 +359,10 @@ def check_lemma_4_1(m):
     L = m.algebra
     maxnilp = maximal_nilpotent_subalgebras(L)
     hyp = 0
-    for A in ideals_of(L):
+    for A, size in lattice(L).orbits(ideals_of(L)):
         Lq, smap = L.quotient(A)
         for Ubar in maximal_nilpotent_subalgebras(Lq):
-            hyp += 1
+            hyp += size
             U = smap.preimage_subspace(Ubar)
             if not any(C + A == U for C in maxnilp):
                 return FAIL, hyp, {"A": _rows(A), "U": _rows(U)}
@@ -377,11 +387,11 @@ def check_lemma_4_2(m):
     mins = minimal_ideals(L)
     lower = L.series(LOWER_CENTRAL)
     hyp = 0
-    for K in ideals_of(L):
+    for K, size in lat.orbits(ideals_of(L)):
         for B in lat.complements(K, K):
             if not L.is_nilpotent(B):
                 continue
-            hyp += 1
+            hyp += size
             if lower.min_index_inside(K) is None:
                 return FAIL, hyp, {"B": _rows(B), "K": _rows(K), "clause": "power"}
             for A in mins:
@@ -468,9 +478,10 @@ def _lines(L):
 def check_lemma_5_1(m):
     """One-dimensional subalgebras: weak c-ideal iff c-ideal."""
     L = m.algebra
+    lat = lattice(L)
     hyp = 0
-    for B in _lines(L):
-        hyp += 1
+    for B, size in lat.orbits(lat.layer(1)):
+        hyp += size
         weak = is_weak_c_ideal(L, B)
         strong = find_c_witness(L, B) is not None
         if weak != strong:
@@ -545,12 +556,13 @@ def observe_theorem_3_2(m):
     """For every ideal B: B solvable iff every maximal subalgebra not
     containing B is a weak c-ideal."""
     L = m.algebra
+    lat = lattice(L)
     maxes = maximal_subalgebras(L)
     hyp = 0
-    for B in ideals_of(L):
-        hyp += 1
+    for B, size in lat.orbits(ideals_of(L)):
+        hyp += size
         lhs = L.is_solvable(B)
-        rhs = all(is_weak_c_ideal(L, M) for M in maxes if not B <= M)
+        rhs = all(is_weak_c_ideal(L, M) for M, _ in lat.orbits(maxes, fixing=B) if not B <= M)
         if lhs != rhs:
             return False, hyp, {"B": _rows(B), "solvable": lhs, "all_weak_c": rhs}
     return True, hyp, {}
@@ -560,7 +572,7 @@ def observe_corollary_3_3(m):
     """L solvable iff every maximal subalgebra is a weak c-ideal."""
     L = m.algebra
     maxes = maximal_subalgebras(L)
-    rhs = all(is_weak_c_ideal(L, M) for M in maxes)
+    rhs = all(is_weak_c_ideal(L, M) for M, _ in lattice(L).orbits(maxes))
     lhs = L.is_solvable()
     ok = lhs == rhs
     return ok, len(maxes), {} if ok else {"solvable": lhs, "all_weak_c": rhs}

@@ -3,7 +3,9 @@ against the plain loops over every subalgebra.
 
 Every property the lattice checks quantify over is invariant under Aut(L),
 so the converted checks loop over one representative per orbit and weight
-it by the orbit size.  The oracle is the same check with
+it by the orbit size; an inner loop that must keep some X in place runs
+over the orbits of the generators that fix X.  The oracle is the same check
+with
 ``ideals.automorphisms`` returning the trivial group, which makes every
 subalgebra its own orbit: results must be identical, status, hypothesis
 count and details.
@@ -15,17 +17,21 @@ from pathlib import Path
 import pytest
 
 import lieideals.ideals as ideals
+import lieideals.verify as verify
 from lieideals.corpus import BuiltAlgebra, _sum_built, almost_abelian, heisenberg, two_dim_nonabelian
+from lieideals.errors import AmbientMismatchError, FieldMismatchError, NotASubalgebraError
 from lieideals.exactfield import GF, QQ
 from lieideals.ideals import automorphisms, ideals_of, is_automorphism, lattice
 from lieideals.liecore import LieAlgebra
+from lieideals.linspace import Subspace
 from lieideals.verify import CorpusMember, default_corpus, run_check
 from test_parent_answers import LADDER
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 CONVERTED = ("lemma-2.4-1", "lemma-2.4-3", "lemma-2.4-4", "proposition-2.5", "lemma-2.7",
-             "lemma-3.5")
+             "lemma-3.5", "lemma-4.1", "lemma-4.2", "theorem-3.2-forward", "theorem-3.2",
+             "corollary-3.3-forward", "corollary-3.3", "lemma-5.1")
 
 
 def _small_corpus():
@@ -53,6 +59,19 @@ ALGEBRAS = _algebras()
 def _image(L, images, S):
     space = L.space
     return L.span_vecs([space.lin_comb(space.unpack(v), images) for v in S.vecs])
+
+
+def _closure(L, gens, S):
+    """The orbit of S under the group that ``gens`` generate."""
+    orbit, todo = {S}, [S]
+    while todo:
+        T = todo.pop()
+        for images in gens:
+            U = _image(L, images, T)
+            if U not in orbit:
+                orbit.add(U)
+                todo.append(U)
+    return orbit
 
 
 # -- the differential: orbit loops against the trivial group -------------------
@@ -168,14 +187,7 @@ def test_orbits_are_the_closures_under_the_generators(name):
     reps = [position[S] for S, _ in orbits]
     assert reps == sorted(reps)
     for S, size in orbits:
-        orbit, todo = {S}, [S]
-        while todo:
-            T = todo.pop()
-            for images in gens:
-                U = _image(L, images, T)
-                if U not in orbit:
-                    orbit.add(U)
-                    todo.append(U)
+        orbit = _closure(L, gens, S)
         assert len(orbit) == size
         assert min(position[T] for T in orbit) == position[S]
     ideal_orbits = lat.orbits(ideals_of(L))
@@ -212,3 +224,121 @@ def test_orbit_counts_on_the_ladder():
         "sum-nonabelian2-nonabelian2-gf3": 20,
         "sum-sl2-abelian1-gf3": 16,
     }
+
+
+# -- orbits of the generators that fix a subalgebra ----------------------------
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_stabilizer_orbits_are_the_closures_under_the_fixing_generators(name):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    position = {S: i for i, S in enumerate(lat.subalgebras)}
+    gens = automorphisms(L)
+    for X, _ in lat.orbits():
+        fixing = [g for g in gens if _image(L, g, X) == X]
+        for members in (lat.containing(X), lat.subalgebras):
+            orbits = lat.orbits(members, fixing=X)
+            assert sum(size for _, size in orbits) == len(members)
+            reps = [position[S] for S, _ in orbits]
+            assert reps == sorted(reps)
+            seen = set()
+            for S, size in orbits:
+                orbit = _closure(L, fixing, S)
+                assert len(orbit) == size and not orbit & seen
+                assert min(position[T] for T in orbit) == position[S]
+                seen |= orbit
+
+
+def test_some_stabilizer_orbits_are_finer_than_the_orbits():
+    # on almost_abelian(5)/GF(2) some generators move a line that others fix,
+    # so the fixing-aware orbits are not the orbits of the whole group
+    L = ALGEBRAS["almostabelian5-gf2"]
+    lat = lattice(L)
+    assert any(len(lat.orbits(fixing=X)) > len(lat.orbits()) for X, _ in lat.orbits())
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_a_subalgebra_every_generator_fixes_gives_the_plain_orbits(name):
+    L = ALGEBRAS[name]
+    lat = lattice(L)
+    for X in (L.zero_space(), L.full_space()):
+        assert lat.orbits(fixing=X) == lat.orbits()
+        assert lat.orbits(ideals_of(L), fixing=X) == lat.orbits(ideals_of(L))
+
+
+def test_members_not_closed_under_the_fixing_generators_are_refused():
+    L = ALGEBRAS["almostabelian5-gf2"]
+    lat = lattice(L)
+    X = L.zero_space()
+    S, size = next((S, size) for S, size in lat.orbits(fixing=X) if size > 1)
+    with pytest.raises(ValueError, match="not a union of whole orbits"):
+        lat.orbits([S], fixing=X)
+    # the orbit of S under the generators that fix a line Y: whole, it
+    # passes; less one member, it is refused
+    for Y, _ in lat.orbits(lat.layer(1)):
+        fixing = [g for g in automorphisms(L) if _image(L, g, Y) == Y]
+        orbit = sorted(_closure(L, fixing, S), key=lat.subalgebras.index)
+        if len(orbit) > 1:
+            assert lat.orbits(orbit, fixing=Y) == [(orbit[0], len(orbit))]
+            with pytest.raises(ValueError, match="not a union of whole orbits"):
+                lat.orbits(orbit[1:], fixing=Y)
+            return
+    raise AssertionError("no line has a stabilizer that moves S")
+
+
+def _foreign(L):
+    """Subspaces that are not subalgebras of L = heisenberg(GF(3)), with the
+    error each must raise: a plane that is not bracket-closed, a line over
+    GF(2) and a line of GF(3)^4."""
+    return [
+        (L.span([(1, 0, 0), (0, 1, 0)]), NotASubalgebraError),
+        (Subspace(GF(2), 3, [(0, 0, 1)]), FieldMismatchError),
+        (Subspace(GF(3), 4, [(0, 0, 0, 1)]), AmbientMismatchError),
+    ]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("role", ["members", "fixing"])
+def test_orbits_refuse_what_is_not_a_subalgebra_of_l(role, warm):
+    for index in range(3):
+        L = heisenberg(GF(3)).algebra
+        lat = lattice(L)
+        if warm:
+            lat.orbits()
+        S, error = _foreign(L)[index]
+        with pytest.raises(error):
+            if role == "members":
+                lat.orbits([L.zero_space(), S])
+            else:
+                lat.orbits(fixing=S)
+        assert lat.orbits(fixing=L.zero_space()) == lat.orbits()
+
+
+def test_orbits_check_the_space_as_containing_does():
+    L = heisenberg(GF(3)).algebra
+    lat = lattice(L)
+    for S, error in _foreign(L)[1:]:
+        with pytest.raises(error):
+            lat.containing(S)
+        with pytest.raises(error):
+            lat.orbits([S])
+
+
+# -- work ------------------------------------------------------------------------
+
+def test_lemma_2_4_4_searches_once_per_stabilizer_orbit(monkeypatch):
+    # almost_abelian(5)/GF(2): for each ideal representative I, the inner
+    # loop runs one quotient search per orbit of the generators fixing I on
+    # the subalgebras containing I: 49 searches, against 465 when it ran over
+    # every such subalgebra
+    searches = []
+    search = verify.find_weak_c_witness
+
+    def counting(L, B):
+        searches.append(B)
+        return search(L, B)
+
+    monkeypatch.setattr(verify, "find_weak_c_witness", counting)
+    row = run_check("lemma-2.4-4", CorpusMember("almostabelian5-gf2", almost_abelian(GF(2), 5)))
+    assert (row.status, row.hypotheses) == ("pass", 2017)
+    assert len(searches) <= 100
