@@ -78,7 +78,7 @@ class Lattice:
         self._filters = [filter(A.is_subalgebra, enumerate_subspaces(L.field, n, k, budget=None))
                          for k in range(n + 1)]
         self._all = None
-        self._perms = None
+        self._perms = [None] * (n + 1)
 
     def layer(self, k):
         """The subalgebras of dimension k, in order, filtered as they are
@@ -189,24 +189,44 @@ class Lattice:
         every automorphism, or ValueError is raised.  With the trivial group
         every member is its own orbit of size 1.
 
-        Each generator's permutation of the subalgebra positions is built
-        once per lattice (:func:`_permutations`); a member is found by its
-        place in the canonical order, so the lattice keeps no dict."""
+        Each generator's permutation of one layer's positions is built once
+        per lattice (:func:`_permutations`), and only for the layers that
+        ``members`` and ``fixing`` lie in: an automorphism keeps dimensions.
+        A member is found by its place in the canonical order, so the
+        lattice keeps no dict."""
         members = None if members is None else list(members)
-        fixed = () if fixing is None else (fixing,)
-        self._algebra.check_compatible(*(members or ()), *fixed)
-        subs = self.subalgebras
-        if self._perms is None:
-            self._perms = _permutations(self._algebra, subs)
-        gens = self._perms
-        for X in fixed:
-            x = _position(subs, X)
-            gens = [g for g in gens if g[x] == x]
-        if members is None:
-            positions = range(len(subs))
-        else:
-            positions = [_position(subs, S) for S in members]
-        return [(subs[r], size) for r, size in _orbits(len(subs), positions, gens)]
+        self._algebra.check_compatible(*(members or ()), *(() if fixing is None else (fixing,)))
+        keep = None  # the indices of the generators that fix ``fixing``
+        if fixing is not None:
+            x = _position(self._read(fixing.dim), fixing)
+            keep = [i for i, g in enumerate(self._permutations_of(fixing.dim)) if g[x] == x]
+        # the members of each dimension, None standing for the whole layer
+        n = self._n
+        by_dim = [None] * (n + 1) if members is None else [[] for _ in range(n + 1)]
+        for S in members or ():
+            by_dim[S.dim].append(S)
+        out = []
+        for k, some in enumerate(by_dim):
+            if some == []:
+                continue
+            subs, perms = self._read(k), self._permutations_of(k)
+            gens = perms if keep is None else [perms[i] for i in keep]
+            positions = range(len(subs)) if some is None else [_position(subs, S) for S in some]
+            out += [(subs[r], size) for r, size in _orbits(len(subs), positions, gens)]
+        return out
+
+    def _read(self, k):
+        """The whole layer of dimension k, read to its end."""
+        if self._filters[k] is not _ENDED:
+            for _ in self.layer(k):
+                pass
+        return self._found[k]
+
+    def _permutations_of(self, k):
+        """Each generator's permutation of the positions in layer k."""
+        if self._perms[k] is None:
+            self._perms[k] = _permutations(self._algebra, self._read(k))
+        return self._perms[k]
 
 
 _ENDED = iter(())  # the filter of every layer read to its end
@@ -337,8 +357,8 @@ def _automorphism_search(L):
 
 
 def _position(subs, S):
-    """The place of S in ``subs``, the canonical list of every subalgebra;
-    a subspace that is not there is not a subalgebra."""
+    """The place of S in ``subs``, the canonical list of every subalgebra
+    of S's dimension; a subspace that is not there is not a subalgebra."""
     i = bisect.bisect_left(subs, S.sort_key(), key=Subspace.sort_key)
     if i == len(subs) or subs[i] != S:
         raise NotASubalgebraError("orbits are defined on subalgebras only")
@@ -375,10 +395,10 @@ def _orbits(count, positions, gens):
 
 def _permutations(L, subs):
     """For each generator from :func:`automorphisms`, the position in
-    ``subs`` (every subalgebra of L, in canonical order) of the image of
-    each subalgebra, as an ``array`` of ints.  Each basis vector is mapped
-    once per generator, and an image is reduced into its canonical RREF
-    basis by ``space.insert`` and found by its rows, with no Subspace
+    ``subs`` (one layer of L's subalgebras, in canonical order) of the
+    image of each member, as an ``array`` of ints.  Each basis vector is
+    mapped once per generator, and an image is reduced into its canonical
+    RREF basis by ``space.insert`` and found by its rows, with no Subspace
     built."""
     gens = automorphisms(L)
     if not gens:

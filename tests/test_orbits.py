@@ -342,3 +342,15 @@ def test_lemma_2_4_4_searches_once_per_stabilizer_orbit(monkeypatch):
     row = run_check("lemma-2.4-4", CorpusMember("almostabelian5-gf2", almost_abelian(GF(2), 5)))
     assert (row.status, row.hypotheses) == ("pass", 2017)
     assert len(searches) <= 100
+
+
+def test_the_orbits_of_one_layer_read_and_permute_that_layer_only():
+    # lemma-5.1 asks for the orbits of the lines: a cold lattice reads layer
+    # 1 to its end and builds the permutations of layer 1, and nothing else
+    L = almost_abelian(GF(2), 5).algebra
+    lat = lattice(L)
+    lines = list(lat.layer(1))
+    assert sum(size for _, size in lat.orbits(lines)) == len(lines) == 31
+    only_the_lines = [k == 1 for k in range(L.dim + 1)]
+    assert [perms is not None for perms in lat._perms] == only_the_lines
+    assert [f is ideals._ENDED for f in lat._filters] == only_the_lines
